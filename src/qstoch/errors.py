@@ -5,6 +5,10 @@ class QStochError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NonFinite(QStochError):
+    """A matrix entry is NaN or infinite."""
+
+
 class NonUnitConjugator(QStochError):
     """Conjugation was requested by a quaternion that is not unit norm."""
 

@@ -11,6 +11,7 @@ direct descent search used to cross-check maximality claims.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,9 @@ import numpy as np
 from . import hadamard
 from .errors import (BadParams, DimensionMismatch, NotNormalized,
                      NotSymplectic, TooManyBases)
-from .qmatrix import (QMatrix, fourier, gram_schmidt_columns, identity, qconj,
-                      qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
+from .qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
+                      _qr_retract, fourier, gram_schmidt_columns, identity,
+                      qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_matrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
 
@@ -142,9 +144,10 @@ def three_param_h3(a: Quaternion, b: Quaternion, c: Quaternion) -> MubSet:
 # ---------------------------------------------------------------------------
 
 
-def qtrace(m: np.ndarray) -> float:
-    """Trace of a quaternion matrix: twice the sum of the diagonal scalar parts."""
-    return 2.0 * float(np.sum(m[np.arange(m.shape[0]), np.arange(m.shape[0]), 0]))
+def qtrace(m: np.ndarray):
+    """Trace of a quaternion matrix: twice the sum of the diagonal scalar
+    parts.  Broadcasts over leading axes."""
+    return 2.0 * np.trace(m[..., 0], axis1=-2, axis2=-1)
 
 
 def operator_frame_orthogonality(mubset) -> float:
@@ -154,22 +157,15 @@ def operator_frame_orthogonality(mubset) -> float:
     handy for measuring how far a biased collection is from unbiased)."""
     bases = mubset.bases if isinstance(mubset, MubSet) else tuple(mubset)
     n = bases[0].rows
-    eyeq = qmat_eye(n) / n
     ops = []
     for basis in bases:
-        cols = basis.data  # (n, n, 4), column j is cols[:, j, :]
-        basis_ops = []
-        for j in range(n):
-            e = cols[:, j, :]
-            outer = qmul(e[:, None, :], qconj(e[None, :, :]))
-            basis_ops.append(outer - eyeq)
-        ops.append(basis_ops)
+        cols = np.swapaxes(basis.data, 0, 1)[:, :, None, :]  # n columns, n x 1
+        ops.append(qmat_mul(cols, qmat_adjoint(cols)) - qmat_eye(n) / n)
     worst = 0.0
     for bi in range(len(ops)):
         for bj in range(bi + 1, len(ops)):
-            for ei in ops[bi]:
-                for fj in ops[bj]:
-                    worst = max(worst, abs(qtrace(qmat_mul(ei, fj))))
+            traces = qtrace(qmat_mul(ops[bi][:, None], ops[bj][None, :]))
+            worst = max(worst, float(np.max(np.abs(traces))))
     return worst
 
 
@@ -183,7 +179,7 @@ def write_mubset(mubset: MubSet) -> str:
 
 
 def read_mubset_matrices(text: str) -> list[QMatrix]:
-    blocks = [blk for blk in text.split("\n\n") if blk.strip()]
+    blocks = [blk for blk in re.split(r"\n\s*\n", text) if blk.strip()]
     bases = []
     for blk in blocks:
         kind, m = read_matrix_text(blk)
@@ -202,68 +198,61 @@ def read_mubset(text: str) -> MubSet:
 # descent on Sp(n): shared by the polish step and the direct search
 # ---------------------------------------------------------------------------
 
-_HAMILTON = np.zeros((4, 4, 4))
-for _a in range(4):
-    for _b in range(4):
-        _ea, _eb = np.zeros(4), np.zeros(4)
-        _ea[_a] = 1.0
-        _eb[_b] = 1.0
-        _HAMILTON[_a, _b] = qmul(_ea, _eb)
-_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+def _objective(x: np.ndarray, chi_targets: np.ndarray):
+    """Smooth objective at chi(W) = x, with its gradient and the violation.
+
+    The objective is the sum of squared deviations of |(W* B)_ij|^2 from
+    1/n over all targets B; chi_targets = [chi(B_1) ... chi(B_T)] side by
+    side.  With G = 4 dev * (W* B) entrywise, the Euclidean gradient in the
+    4n^2 real coordinates of W is sum_t B_t G_t^*, returned in chi form.
+    The violation is max |dev|.
+    """
+    n = x.shape[0] // 2
+    y = x.conj().T @ chi_targets  # [chi(W* B_1) ... chi(W* B_T)]
+    sq = y.real ** 2 + y.imag ** 2
+    dev = sq[::2].reshape(n, -1, 2).sum(axis=-1) - 1.0 / n
+    g = y.reshape(n, 2, -1, 2) * (4.0 * dev)[:, None, :, None]
+    grad = chi_targets @ g.reshape(2 * n, -1).conj().T
+    return float(np.sum(dev * dev)), grad, float(np.max(np.abs(dev)))
 
 
-def _violation(w: np.ndarray, targets: list[np.ndarray]) -> float:
-    return max(cross_gram_deviation(w, b) for b in targets)
-
-
-def _smooth_objective(w: np.ndarray, targets: list[np.ndarray]):
-    """Sum of squared deviations of |(W*B)_ij|^2 from 1/n, with its
-    Euclidean gradient in the 4n^2 real coordinates of W."""
-    n = w.shape[0]
-    grad = np.zeros_like(w)
-    value = 0.0
-    wadj = qmat_adjoint(w)
-    for b in targets:
-        y = qmat_mul(wadj, b)
-        dev = qnormsq(y) - 1.0 / n
-        value += float(np.sum(dev * dev))
-        gy = 4.0 * dev[..., None] * y
-        grad += _CONJ_SIGNS[None, None, :] * np.einsum(
-            "abc,kjb,ijc->kia", _HAMILTON, b, gy, optimize=True)
-    return value, grad
-
-
-def _riemannian_grad(w: np.ndarray, euclid: np.ndarray) -> np.ndarray:
-    """Project the Euclidean gradient onto the tangent space at W."""
-    wg = qmat_mul(qmat_adjoint(w), euclid)
-    herm = 0.5 * (wg + qmat_adjoint(wg))
-    return euclid - qmat_mul(w, herm)
+def _riemannian_grad(x: np.ndarray, euclid: np.ndarray) -> np.ndarray:
+    """Project a chi-form gradient onto the tangent space of Sp(n) at x."""
+    xg = x.conj().T @ euclid
+    return euclid - x @ (0.5 * (xg + xg.conj().T))
 
 
 def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000,
              viol_goal: float = 1e-10):
-    """Backtracking gradient descent with a Gram-Schmidt retraction."""
-    w = gram_schmidt_columns(start.copy())
-    value, grad = _smooth_objective(w, targets)
+    """Backtracking gradient descent over Sp(n) with a QR retraction.
+
+    W and the targets stay in chi form for the whole descent; the result
+    converts back once, and its violation is measured on that result.
+    """
+    chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
+    x = _chi_from_rows(_qr_retract(_chi(start)))
+    value, grad, viol = _objective(x, chi_targets)
     step = 0.1
     for _ in range(max_iter):
-        rgrad = _riemannian_grad(w, grad)
-        gnorm2 = float(np.sum(rgrad * rgrad))
-        if gnorm2 < 1e-30 or _violation(w, targets) <= viol_goal:
+        rgrad = _riemannian_grad(x, grad)
+        # the squared norm in the 4n^2 real coordinates of W: chi doubles it
+        gnorm2 = 0.5 * float(np.sum(rgrad.real ** 2 + rgrad.imag ** 2))
+        if gnorm2 < 1e-30 or viol <= viol_goal:
             break
         moved = False
         while step > 1e-14:
-            cand = gram_schmidt_columns(w - step * rgrad)
-            cand_value, cand_grad = _smooth_objective(cand, targets)
+            cand = _chi_from_rows(_qr_retract(x - step * rgrad))
+            cand_value, cand_grad, cand_viol = _objective(cand, chi_targets)
             if cand_value <= value - 0.3 * step * gnorm2:
-                w, value, grad = cand, cand_value, cand_grad
+                x, value, grad, viol = cand, cand_value, cand_grad, cand_viol
                 step *= 1.5
                 moved = True
                 break
             step *= 0.5
         if not moved:
             break
-    return w, _violation(w, targets)
+    w = _from_chi_rows(x[::2])
+    return w, max(cross_gram_deviation(w, b) for b in targets)
 
 
 def direct_maximality_search(mubset: MubSet, restarts: int = 50,
@@ -374,6 +363,8 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
     if state is None:
         state = _SearchState()
     targets = [b.data for b in mubset.bases]
+    # [B_1 ... B_T] side by side: one product checks a candidate against all
+    all_targets = np.concatenate(targets, axis=1)
     transforms = _conj_transforms(conj_grid)
     n_conj = transforms.shape[0]
     root3 = math.sqrt(3.0)
@@ -403,11 +394,8 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
             cands = np.einsum("scd,sijd->sijc", transforms[xidx[lo:hi]],
                               moved[midx[lo:hi], nidx[lo:hi]],
                               optimize=True) / root3
-            devs = np.empty(cands.shape[0])
-            for t in targets:
-                grams = qmat_mul(np.swapaxes(qconj(cands), -3, -2), t[None])
-                dv = np.max(np.abs(qnormsq(grams) - 1.0 / 3.0), axis=(-2, -1))
-                devs = dv if t is targets[0] else np.maximum(devs, dv)
+            grams = qmat_mul(qmat_adjoint(cands), all_targets)
+            devs = np.max(np.abs(qnormsq(grams) - 1.0 / 3.0), axis=(-2, -1))
             for pos in range(cands.shape[0]):
                 if devs[pos] <= 1e-9:
                     return QMatrix(cands[pos])

@@ -1,9 +1,17 @@
 """Dense quaternion matrices over the right vector space H^n.
 
 A matrix is stored as a float64 array of shape (rows, cols, 4); the last
-axis carries the 1, i, j, k coordinates.  The array helpers (qmul, qconj,
-qmat_mul, ...) broadcast over leading axes and are reused by the heavier
-numerical modules.
+axis carries the 1, i, j, k coordinates.  This storage, and the QMAT text
+format, is the interface every module and file sees.  The array helpers
+(qmul, qconj, qmat_mul, ...) broadcast over leading axes and are reused by
+the heavier numerical modules.
+
+Products and orthonormalization run on the complex adjoint representation
+chi (F. Zhang, LAA 251, 1997).  chi replaces an entry z1 + z2 j, with
+z1 = w + x i and z2 = y + z i, by the 2x2 block [[z1, z2], [-conj z2,
+conj z1]]: Zhang's form with rows and columns interleaved.  It turns
+quaternion products and adjoints into complex ones, and the even rows of
+chi(A) are the float storage viewed as complex, so they cost no copy.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitConjugator, ZeroInFrame
+from .errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
+                     ZeroInFrame)
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
 
 # ---------------------------------------------------------------------------
@@ -49,13 +58,57 @@ def qnorm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(qnormsq(a))
 
 
+# -- complex adjoint kernel (see the module docstring for chi) ---------------
+
+_ODD_ROW_SIGNS = np.array([-1.0, 1.0])
+
+
+def _chi_rows(a: np.ndarray) -> np.ndarray:
+    """Even rows of chi(A): (..., r, c, 4) floats to (..., r, 2c) complex."""
+    a = np.ascontiguousarray(a, dtype=float)
+    return a.view(complex).reshape(a.shape[:-2] + (2 * a.shape[-2],))
+
+
+def _chi_from_rows(z: np.ndarray) -> np.ndarray:
+    """chi(A) from its even rows: (..., r, 2c) to (..., 2r, 2c) complex."""
+    pairs = z.reshape(z.shape[:-1] + (-1, 2))  # (z1, z2)
+    odd = pairs[..., ::-1].conj() * _ODD_ROW_SIGNS  # (-conj z2, conj z1)
+    shape = z.shape[:-2] + (2 * z.shape[-2], z.shape[-1])
+    return np.stack([pairs, odd], axis=-3).reshape(shape)
+
+
+def _chi(a: np.ndarray) -> np.ndarray:
+    """chi(A): (..., r, c, 4) floats to (..., 2r, 2c) complex."""
+    return _chi_from_rows(_chi_rows(a))
+
+
+def _from_chi_rows(z: np.ndarray) -> np.ndarray:
+    """Inverse of _chi_rows: (..., r, 2c) complex to (..., r, c, 4) floats."""
+    z = np.ascontiguousarray(z)
+    return z.view(float).reshape(z.shape[:-1] + (z.shape[-1] // 2, 4))
+
+
+def _qr_retract(x: np.ndarray) -> np.ndarray:
+    """Even rows of the Q factor of x = QR with diag(R) real and positive.
+
+    That factor is unique, so for x = chi(A) it is chi of the matrix that
+    right-scalar Gram-Schmidt makes from the columns of A.  Only the even
+    rows are returned: rounding moves the odd rows off the chi pattern, and
+    an iteration that fed them back would let that error grow.
+    """
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q[..., ::2, :] * (d / np.abs(d))[..., None, :]
+
+
 def qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quaternion matrix product of (...,n,m,4) and (...,m,k,4) arrays.
 
-    Products are taken left to right; order matters over H.
+    Products are taken left to right; order matters over H.  Computed as
+    the even rows of chi(A) chi(B), one complex matmul that broadcasts over
+    the leading axes.
     """
-    prod = qmul(a[..., :, :, None, :], b[..., None, :, :, :])
-    return prod.sum(axis=-3)
+    return _from_chi_rows(_chi_rows(a) @ _chi(b))
 
 
 def qmat_adjoint(a: np.ndarray) -> np.ndarray:
@@ -99,6 +152,8 @@ class QMatrix:
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 3 or arr.shape[2] != 4:
             raise DimensionMismatch(f"expected (rows, cols, 4) array, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NonFinite("quaternion matrix has a NaN or infinite entry")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -313,7 +368,6 @@ class MonomialTransform:
     permutation: tuple[int, ...]
     phases: tuple[Quaternion, ...]
     side: str = "left"
-    conjugator: Quaternion | None = None
 
     def __post_init__(self):
         for p in self.phases:
@@ -380,23 +434,15 @@ def random_quaternion_array(shape, rng) -> np.ndarray:
     return rng.standard_normal(tuple(shape) + (4,))
 
 
-def gram_schmidt_columns(arr: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Orthonormalize columns of an (n,n,4) array, right-multiplying by scalars.
+def gram_schmidt_columns(arr: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of an (m,n,4) array, m >= n.
 
-    Column j is corrected by col_j -= col_l * <col_l, col_j>; the projection
-    coefficient multiplies on the right, consistent with H^n as a right
-    vector space.  A second pass stabilizes near-dependent frames.
+    The result is what column-by-column Gram-Schmidt gives when each
+    projection coefficient multiplies on the right, consistent with H^n as
+    a right vector space: A = QR with R upper triangular and diag(R) > 0.
+    It is computed as the QR factorization of chi(A).
     """
-    a = arr.copy()
-    n = a.shape[1]
-    for _ in range(passes):
-        for j in range(n):
-            for l in range(j):
-                coef = qmul(qconj(a[:, l, :]), a[:, j, :]).sum(axis=0)
-                a[:, j, :] -= qmul(a[:, l, :], coef[None, :])
-            nrm = np.sqrt(qnormsq(a[:, j, :]).sum())
-            a[:, j, :] /= nrm
-    return a
+    return _from_chi_rows(_qr_retract(_chi(arr)))
 
 
 def random_symplectic(n: int, seed: int = 0) -> QMatrix:
@@ -447,17 +493,18 @@ def read_matrix_text(text: str) -> tuple[str, object]:
         raise ValueError("truncated matrix file")
     kind, rows, cols = tokens[0], int(tokens[1]), int(tokens[2])
     body = tokens[3:]
+    if kind not in ("qmat", "rmat"):
+        raise ValueError(f"unknown matrix header {kind!r}")
+    if len(body) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
     if kind == "qmat":
-        if len(body) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
         arr = np.array([parse_quaternion(t).as_array() for t in body])
-        return "qmat", QMatrix(arr.reshape(rows, cols, 4))
-    if kind == "rmat":
-        if len(body) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
+        arr = arr.reshape(rows, cols, 4)
+    else:
         arr = np.array([float(t) for t in body]).reshape(rows, cols)
-        return "rmat", arr
-    raise ValueError(f"unknown matrix header {kind!r}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite matrix entry")
+    return kind, (QMatrix(arr) if kind == "qmat" else arr)
 
 
 def read_qmatrix_text(text: str) -> QMatrix:

@@ -28,6 +28,8 @@ class BistochasticMatrix:
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotBistochastic(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NotBistochastic("matrix has a NaN or infinite entry")
         if np.min(arr) < ENTRY_FLOOR:
             raise NotBistochastic(f"negative entry {np.min(arr)!r}")
         rows = np.abs(arr.sum(axis=1) - 1.0)
@@ -376,8 +378,8 @@ def hurwitz_radon_matrix(seed: int = 0) -> BistochasticMatrix:
     Entry (alpha, beta) equals the weight of the group element alpha xor
     beta, so rows and columns are permutations of the weight vector and the
     matrix is symmetric bistochastic.  Weights emulate numbers whose
-    pairwise square-root products are rationally independent: scaled square
-    roots of the first 15 primes, with seeded jitter only breaking ties.
+    pairwise square-root products are rationally independent: the first 15
+    primes divided by 400, with seeded jitter only breaking ties.
     The resulting matrix satisfies the full sign-feasibility system, while
     its non-orthostochasticity is a structural fact that brute force cannot
     reach at this size.

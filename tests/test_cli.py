@@ -225,3 +225,20 @@ class TestUsageErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify-hadamard", str(tmp_path / "nope.qmat")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "{q}"], ["verify-symplectic", "{q}"], ["verify-hadamard", "{q}"],
+        ["rank", "--map", "h", "--file", "{q}"], ["mub", "maximality", "{q}"],
+        ["sigma", "{r}"], ["ortho3", "{r}"],
+    ])
+    def test_non_finite_entry_is_an_error(self, argv, tmp_path, capsys):
+        q = tmp_path / "nan.qmat"
+        q.write_text("qmat 3 3\n" + "(1,0,0,0) (0,0,0,0) (0,0,0,0)\n"
+                     "(0,0,0,0) (nan,0,0,0) (0,0,0,0)\n"
+                     "(0,0,0,0) (0,0,0,0) (1,0,0,0)\n")
+        r = tmp_path / "nan.rmat"
+        r.write_text("rmat 3 3\n0.5 0.5 0\n0.5 nan 0\n0 0 1\n")
+        rc = main([a.format(q=q, r=r) for a in argv])
+        err = capsys.readouterr().err
+        assert rc in (2, 3)
+        assert err.startswith("error:") and "Traceback" not in err

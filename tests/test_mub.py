@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
                            NotSymplectic, TooManyBases)
 from qstoch.mub import (MubSet, complete_mub_h2, cross_gram_deviation,
                         direct_maximality_search, extend_search, is_unbiased,
                         one_param_h3, operator_frame_orthogonality,
-                        read_mubset, three_param_h3, write_mubset)
-from qstoch.qmatrix import (QMatrix, diag, fourier, identity,
-                            permutation_matrix, random_symplectic)
+                        read_mubset, read_mubset_matrices, three_param_h3,
+                        write_mubset)
+from qstoch.qmatrix import (QMatrix, _chi, _from_chi_rows, diag, fourier,
+                            identity, permutation_matrix, random_symplectic,
+                            write_qmat)
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
 
@@ -154,6 +157,54 @@ class TestUnbiasednessInvariance:
             pytest.approx(base, abs=1e-10)
 
 
+class TestDescentKernel:
+    def _chi_targets(self, mubset):
+        return np.concatenate([_chi(b.data) for b in mubset.bases], axis=1)
+
+    def test_gradient_matches_central_differences(self):
+        s = one_param_h3(0.0, R32)
+        chi_targets = self._chi_targets(s)
+        w = random_symplectic(3, seed=21).data
+
+        def value(v):
+            return mub._objective(_chi(v), chi_targets)[0]
+
+        _, grad, _ = mub._objective(_chi(w), chi_targets)
+        grad = _from_chi_rows(grad[::2])
+        h = 1e-6
+        numeric = np.zeros_like(w)
+        for idx in np.ndindex(w.shape):
+            step = np.zeros_like(w)
+            step[idx] = h
+            numeric[idx] = (value(w + step) - value(w - step)) / (2 * h)
+        assert np.max(np.abs(grad - numeric)) < 1e-8 * max(1.0, np.max(np.abs(grad)))
+
+    def test_objective_violation_matches_cross_gram_deviation(self):
+        s = one_param_h3(R32, 0.0)
+        w = random_symplectic(3, seed=22).data
+        _, _, viol = mub._objective(_chi(w), self._chi_targets(s))
+        want = max(cross_gram_deviation(w, b.data) for b in s.bases)
+        assert viol == pytest.approx(want, abs=1e-14)
+
+    def test_riemannian_gradient_is_tangent(self):
+        s = one_param_h3(0.0, R32)
+        x = _chi(random_symplectic(3, seed=23).data)
+        _, grad, _ = mub._objective(x, self._chi_targets(s))
+        rgrad = mub._riemannian_grad(x, grad)
+        skew = x.conj().T @ rgrad
+        assert np.max(np.abs(skew + skew.conj().T)) < 1e-13
+
+    def test_long_descent_matches_gram_schmidt_descent(self):
+        # this restart runs to the 2000-iteration cap.  Descending with a
+        # Hamilton-product gradient and a Gram-Schmidt retraction ends at
+        # violation 0.11320497646536 (to 13 digits); a retraction that let
+        # the odd rows of chi(W) drift stopped early near 0.11267
+        s = three_param_h3(*(cube_root(2 * math.pi * k / 3) for k in range(3)))
+        viol, w = direct_maximality_search(s, restarts=1, seed=0)
+        assert viol == pytest.approx(0.11320497646536, abs=1e-9)
+        assert w.is_symplectic(1e-12)
+
+
 class TestSearches:
     def test_extend_finds_candidate_for_bare_pair(self):
         s = MubSet(3, (identity(3), fourier(3)))
@@ -207,3 +258,10 @@ class TestMubIO:
     def test_rejects_empty(self):
         with pytest.raises(BadParams):
             read_mubset("\n\n")
+
+    @pytest.mark.parametrize("separator", ["\n", "  \n", "\t\n \n", "\n\n\n"])
+    def test_blank_separator_may_hold_whitespace(self, separator):
+        text = write_qmat(identity(3)) + separator + write_qmat(fourier(3))
+        bases = read_mubset_matrices(text)
+        assert len(bases) == 2
+        assert bases[1].approx_eq(fourier(3), 0.0)

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qstoch.errors import DimensionMismatch, NonUnitConjugator, ZeroInFrame
+from oracles import gram_schmidt_loop, hamilton_qmat_mul
+from qstoch.errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
+                           ZeroInFrame)
 from qstoch.qmatrix import (MonomialTransform, QMatrix, diag, fourier,
-                            identity, permutation_matrix, qnorm, qnormsq,
+                            gram_schmidt_columns, identity,
+                            permutation_matrix, qmat_mul, qnorm, qnormsq,
                             random_symplectic, read_matrix_text,
                             read_qmatrix_text, write_qmat, write_rmat)
 from qstoch.quaternion import I as QI
@@ -56,6 +61,56 @@ class TestMatmul:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             identity(2) @ identity(3)
+
+
+# leading (batch) shapes of the two operands: none, one side batched, both
+# batched alike, and both broadcast against each other
+BATCH_SHAPES = [((), ()), ((3,), ()), ((), (2,)), ((4,), (4,)),
+                ((2, 1), (3,)), ((1, 3), (2, 1))]
+
+
+@st.composite
+def product_operands(draw):
+    r, m, k = (draw(st.integers(1, 8)) for _ in range(3))
+    batch_a, batch_b = draw(st.sampled_from(BATCH_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return (scale * rng.standard_normal(batch_a + (r, m, 4)),
+            rng.standard_normal(batch_b + (m, k, 4)))
+
+
+class TestComplexAdjointKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands())
+    def test_qmat_mul_matches_hamilton_oracle(self, operands):
+        a, b = operands
+        got = qmat_mul(a, b)
+        want = hamilton_qmat_mul(a, b)
+        assert got.shape == want.shape
+        # relative to sum_l |a_il| |b_lj|, the natural size of entry (i, j)
+        bound = qnorm(a) @ qnorm(b)
+        assert np.all(qnorm(got - want) <= 1e-12 * bound)
+
+    def test_qmat_mul_accepts_views(self, rng):
+        a = rng.standard_normal((5, 4, 4))
+        b = rng.standard_normal((5, 3, 4))
+        at = np.swapaxes(a, 0, 1)  # a non-contiguous (4, 5, 4) view
+        assert np.max(np.abs(qmat_mul(at, b) - hamilton_qmat_mul(at, b))) < 1e-12
+
+    @pytest.mark.parametrize("rows,cols", [(n, n) for n in range(1, 9)]
+                             + [(5, 3), (8, 1)])
+    def test_qr_retraction_matches_gram_schmidt(self, rows, cols):
+        a = np.random.default_rng(rows * 10 + cols).standard_normal((rows, cols, 4))
+        got = gram_schmidt_columns(a)
+        assert np.max(np.abs(got - gram_schmidt_loop(a))) < 1e-12
+        gram = QMatrix(hamilton_qmat_mul(QMatrix(got).adjoint().data, got))
+        assert gram.approx_eq(identity(cols), 1e-12)
+        if rows == cols:
+            assert QMatrix(got).is_symplectic(1e-12)
+
+    def test_qr_retraction_keeps_orthonormal_input(self):
+        w = random_symplectic(4, seed=3).data
+        assert np.max(np.abs(gram_schmidt_columns(w) - w)) < 1e-12
 
 
 class TestPredicates:
@@ -228,6 +283,25 @@ class TestTextFormats:
     def test_rejects_unknown_header(self):
         with pytest.raises(ValueError):
             read_matrix_text("xmat 2 2\n1 0 0 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "qmat 1 2\n(1,0,0,0) (nan,0,0,0)\n",
+        "qmat 1 1\n(0,0,inf,0)\n",
+        "rmat 2 2\n1 0\n0 nan\n",
+        "rmat 1 1\n-inf\n",
+    ])
+    def test_rejects_non_finite_entries(self, text):
+        with pytest.raises(ValueError):
+            read_matrix_text(text)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_qmatrix_rejects(self, value):
+        arr = np.zeros((2, 2, 4))
+        arr[1, 0, 2] = value
+        with pytest.raises(NonFinite):
+            QMatrix(arr)
 
 
 class TestMonomialTransform:

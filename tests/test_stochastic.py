@@ -35,6 +35,15 @@ class TestBistochasticType:
         with pytest.raises(NotBistochastic):
             BistochasticMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(NotBistochastic):
+            BistochasticMatrix(np.full((3, 3), value))
+        mat = np.full((3, 3), 1.0 / 3.0)
+        mat[1, 2] = value
+        with pytest.raises(NotBistochastic):
+            BistochasticMatrix(mat)
+
 
 class TestPhi:
     def test_fourier_hits_barycenter(self):
