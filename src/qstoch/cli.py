@@ -77,23 +77,10 @@ def _cmd_jacobian(args) -> int:
     return EXIT_TRUE
 
 
-def _cmd_rank(args) -> int:
-    m = load_qmatrix(args.file)
-    jac = differential.jacobian(args.map, m)
-    rank, _, _ = differential.rank_report(jac, args.tol)
-    ddim = differential.domain_dim(args.map, m.rows)
-    cdim = differential.codomain_dim(m.rows)
-    if args.map == "r":
-        verdict = "singular" if rank < ddim else "regular"
-    else:
-        verdict = "critical" if rank < cdim else "regular"
-    print(f"map={args.map} n={m.rows} rank={rank} dim_domain={ddim} "
-          f"dim_codomain={cdim} verdict={verdict}")
-    return EXIT_TRUE
-
-
 def _cmd_classify(args) -> int:
-    res = differential.classify_point(args.map, load_qmatrix(args.file))
+    """classify, and rank: the same verdict without the pattern cross-check."""
+    res = differential.classify_point(args.map, load_qmatrix(args.file),
+                                      tol=args.tol, cross_check=args.cross_check)
     print(res.report_line())
     return EXIT_TRUE
 
@@ -264,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qstoch",
         description="quaternionic stochastic-matrix and Hadamard/MUB toolkit")
     parser.add_argument("--format", choices=("text", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; output is identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi", help="entrywise squared-norm image")
@@ -300,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", choices=differential.MAP_KINDS, required=True)
     p.add_argument("--file", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_rank)
+    p.set_defaults(func=_cmd_classify, cross_check=False)
 
     p = sub.add_parser("classify")
     p.add_argument("--map", choices=differential.MAP_KINDS, required=True)
     p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, tol=1e-10, cross_check="auto")
 
     p = sub.add_parser("ortho3")
     p.add_argument("file")

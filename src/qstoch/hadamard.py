@@ -10,8 +10,9 @@ Fourier matrix.  The 3x3 matrices share the frame
 
 with z = -1/2 + s*i + t*j on the circle s^2 + t^2 = 3/4; such a frame is
 automatically Hadamard, and the families pin down which (a, b, z) are also
-unbiased to the Fourier matrix.  Array-valued helpers (suffix _arr) power
-the grid sweeps in the MUB search.
+unbiased to the Fourier matrix.  Array-valued builders (suffix _arr) power
+the grid sweeps in the MUB search; family3_matrix, p_value and special3 are
+their one-row case.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def generic4(params: Generic4Params) -> QMatrix:
 
 def p_value(a: Quaternion, s: float, t: float) -> float:
     """(a3^2 + a4^2) s + (a1 a4 - a2 a3) t."""
-    return (a.y * a.y + a.z * a.z) * s + (a.w * a.z - a.x * a.y) * t
+    return float(p_arr(a.as_array(), s, t))
 
 
 def alpha_coeffs(a: Quaternion) -> tuple[float, float, float]:
+    # not alphas_arr: Python's x ** 2 (libm pow) and numpy's x * x differ in
+    # the last bit for about 1 input in 1000, enough to move generic3's root
     a1, a2, a3, a4 = a.w, a.x, a.y, a.z
     alpha0 = 1 - a1 + 4 * a1 * a2 ** 2 + 2 * a1 * a4 ** 2 + 2 * a2 * a3 * a4 \
         - 2 * a3 ** 2 - 2 * a4 ** 2
@@ -184,11 +187,8 @@ def unbiased_system(a: Quaternion, s: float, t: float):
 
 def family3_matrix(a: Quaternion, b: Quaternion, zeta: Quaternion) -> QMatrix:
     """The shared 3x3 Hadamard frame for the six families."""
-    return QMatrix.from_entries([
-        [ONE, ONE, ONE],
-        [a, a * zeta, a * zeta * zeta],
-        [b, b * zeta * zeta, b * zeta],
-    ])
+    return QMatrix(family3_matrix_arr(a.as_array(), b.as_array(),
+                                      zeta.as_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +277,113 @@ def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
 # ---------------------------------------------------------------------------
 
 
-def _ellipse_solution(b0: np.ndarray, bw: np.ndarray, psi: float) -> np.ndarray:
-    """Point with |b0 + bw @ w| = 1 along direction psi from the ellipse center."""
-    m = bw.T @ bw
-    c = bw.T @ b0
+def _ellipse_solution(b0: np.ndarray, bw: np.ndarray, psi: np.ndarray,
+                      ok: np.ndarray):
+    """Points with |b0 + bw @ w| = 1 along direction psi from the ellipse
+    center, for stacks b0 (N,4), bw (N,4,2) and psi (N,).  Only rows with
+    ok set are solved; the returned mask also drops the rows where the
+    unit-norm constraint has no real solution."""
+    out = np.full(b0.shape, np.nan)
+    b0, bw, psi = b0[ok], bw[ok], psi[ok]
+    bwt = np.swapaxes(bw, 1, 2)
+    m = bwt @ bw
+    c = bwt @ b0[:, :, None]
     center = np.linalg.solve(m, -c)
-    rho = 1.0 - b0 @ b0 + c @ np.linalg.solve(m, c)
-    if rho < 0.0:
-        raise NoRealSolution("unit-norm constraint has no real solution here")
-    u = np.array([math.cos(psi), math.sin(psi)])
-    r = math.sqrt(rho / (u @ m @ u))
-    w = center + r * u
-    return b0 + bw @ w
+    rho = (1.0 - b0[:, None, :] @ b0[:, :, None]
+           + np.swapaxes(c, 1, 2) @ np.linalg.solve(m, c))[:, 0, 0]
+    real = rho >= 0.0
+    u = np.stack([np.cos(psi), np.sin(psi)], axis=1)[:, :, None]
+    r = np.sqrt(np.where(real, rho, 0.0) / (np.swapaxes(u, 1, 2) @ m @ u)[:, 0, 0])
+    points = b0 + (bw @ (center + r[:, None, None] * u))[:, :, 0]
+    ok = ok.copy()
+    ok[ok] = real
+    out[ok] = points[real]
+    return out, ok
 
 
-def _signs(variant: int, bits: int) -> list[float]:
-    if not 0 <= variant < (1 << bits):
+def _signs(variants: np.ndarray, bits: int) -> np.ndarray:
+    """(bits, N) array of signs: bit k of a variant set means -1."""
+    if np.any((variants < 0) | (variants >= 1 << bits)):
         raise BadParams(f"variant must be in [0, {1 << bits})")
-    return [1.0 if (variant >> k) & 1 == 0 else -1.0 for k in range(bits)]
+    return 1.0 - 2.0 * ((variants >> np.arange(bits)[:, None]) & 1)
+
+
+def _quat(w, x, y, z) -> np.ndarray:
+    """Stack coordinates (arrays or scalars, broadcast) into (...,4)."""
+    return np.stack(np.broadcast_arrays(w, x, y, z), axis=-1)
+
+
+_SPECIAL_PARAMS = {"s1": ("beta", "theta"), "s2": ("theta", "psi"),
+                   "s3": ("theta", "psi"), "s4": ("psi",), "s5": ("a1", "psi")}
+
+
+def special3_arr(family_id: str, params, variants):
+    """Members of a special family for a batch of parameter rows.
+
+    params is (N, k) with one row per member, variants (N,) the sign
+    variants (see special3).  Returns the (N,3,3,4) frames and a mask that
+    is False where special3 raises NoRealSolution; those rows are not
+    family members.
+    """
+    if family_id not in _SPECIAL_PARAMS:
+        raise BadParams(f"unknown special family {family_id!r}")
+    names = _SPECIAL_PARAMS[family_id]
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != len(names):
+        raise BadParams(f"{family_id} takes ({', '.join(names)})")
+    variants = np.asarray(variants)
+    ok = np.ones(params.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family_id == "s1":
+            beta, theta = params.T
+            a, b, zeta = _quat(1.0, 0.0, 0.0, 0.0), _zeta_arr(beta), _zeta_arr(theta)
+        elif family_id == "s2":
+            theta, psi = params.T
+            (sel,) = _signs(variants, 1)
+            zeta = _zeta_arr(theta)
+            a = np.where(sel[:, None] > 0, zeta, qmul(zeta, zeta))
+            cos, sin = np.cos(psi), np.sin(psi)
+            g = a[:, 1] * cos + a[:, 2] * sin
+            h = a[:, 2] * cos - a[:, 1] * sin
+            b = _quat(1.0 - 2.0 * g * g, g * cos, g * sin, 2.0 * g * h)
+        elif family_id == "s3":
+            theta, psi = params.T
+            (sel,) = _signs(variants, 1)
+            ax = sel * R32
+            b2 = ax / 2.0 + (math.sqrt(3.0) / 4.0) * np.cos(psi)
+            b3 = (math.sqrt(3.0) / 4.0) * np.sin(psi)
+            a = _quat(-0.5, ax, 0.0, 0.0)
+            b = _quat(1.0 - 2.0 * ax * b2, b2, b3, 2.0 * ax * b3)
+            zeta = _zeta_arr(theta)
+        elif family_id == "s4":
+            (psi,) = params.T
+            e2, e3, et = _signs(variants, 3)
+            a2, a3 = e2 * math.sqrt(3.0) / 4.0, e3 * math.sqrt(3.0) / 4.0
+            a4 = 4.0 * a2 * a3
+            a = _quat(0.25, a2, a3, a4)
+            zeta = _quat(-0.5, 0.0, et * R32, 0.0)
+            bw = np.stack([_quat(0.0, 1.0, -(16.0 / 3.0) * a2 * a3, 0.0),
+                           _quat(-(4.0 / 3.0) * a4, 0.0, (32.0 / 9.0) * a3 * a4,
+                                 1.0)], axis=-1)
+            b, ok = _ellipse_solution(_quat(-0.5, 0.0, 2.0 * a3, 0.0), bw, psi, ok)
+        else:  # s5
+            a1, psi = params.T
+            e2, e3, e4, et = _signs(variants, 4)
+            a2 = e2 * (1.0 - a1) / math.sqrt(3.0)
+            q = (1.0 - a1) * (1.0 + 2.0 * a1) / 6.0
+            a3 = e3 * np.sqrt(q)
+            a4 = e4 * np.sqrt(3.0 * q)
+            a = _quat(a1, a2, a3, a4)
+            t = et * 2.0 * np.abs(a3)
+            s = -(a1 * a4 - a2 * a3) * t / (a3 * a3 + a4 * a4)
+            # a1 outside (-1/2, 1), or a sign combination off the (s,t) circle
+            ok = (-0.5 < a1) & (a1 < 1.0) & (np.abs(s * s + t * t - 0.75) <= 1e-9)
+            zeta = _quat(-0.5, s, t, 0.0)
+            bw = np.stack([_quat(0.0, -a3 / a2, 1.0, 0.0),
+                           _quat(-a2 / a3, 1.0 / (2.0 * a3), 0.0, 1.0)], axis=-1)
+            b0 = _quat(-0.5, (1.0 - a1) / (2.0 * a2), 0.0, 0.0)
+            b, ok = _ellipse_solution(b0, bw, psi, ok)
+        return family3_matrix_arr(a, b, zeta), ok
 
 
 def special3(family_id: str, params, variant: int = 0) -> QMatrix:
@@ -307,82 +396,14 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
       s4: (psi,)          variant bits: sign(a2), sign(a3), sign(t)
       s5: (a1, psi)       variant bits: sign(a2), sign(a3), sign(a4), sign(t)
     The completion solves the family's linear constraints plus |b| = 1;
-    NoRealSolution signals an infeasible sign combination.
+    NoRealSolution signals an infeasible sign combination.  This is the
+    one-row case of special3_arr.
     """
-    params = tuple(float(p) for p in params)
-    if family_id == "s1":
-        if len(params) != 2:
-            raise BadParams("s1 takes (beta, theta)")
-        beta, theta = params
-        b = Quaternion(-0.5, R32 * math.cos(beta), R32 * math.sin(beta), 0.0)
-        return family3_matrix(ONE, b, zeta_from_angle(theta))
-    if family_id == "s2":
-        if len(params) != 2:
-            raise BadParams("s2 takes (theta, psi)")
-        theta, psi = params
-        (sel,) = _signs(variant, 1)
-        zeta = zeta_from_angle(theta)
-        a = zeta if sel > 0 else zeta * zeta
-        g = a.x * math.cos(psi) + a.y * math.sin(psi)
-        h = a.y * math.cos(psi) - a.x * math.sin(psi)
-        b = Quaternion(1.0 - 2.0 * g * g, g * math.cos(psi), g * math.sin(psi),
-                       2.0 * g * h)
-        return family3_matrix(a, b, zeta)
-    if family_id == "s3":
-        if len(params) != 2:
-            raise BadParams("s3 takes (theta, psi)")
-        theta, psi = params
-        (sel,) = _signs(variant, 1)
-        a = Quaternion(-0.5, sel * R32, 0.0, 0.0)
-        b2 = a.x / 2.0 + (math.sqrt(3.0) / 4.0) * math.cos(psi)
-        b3 = (math.sqrt(3.0) / 4.0) * math.sin(psi)
-        b = Quaternion(1.0 - 2.0 * a.x * b2, b2, b3, 2.0 * a.x * b3)
-        return family3_matrix(a, b, zeta_from_angle(theta))
-    if family_id == "s4":
-        if len(params) != 1:
-            raise BadParams("s4 takes (psi,)")
-        (psi,) = params
-        e2, e3, et = _signs(variant, 3)
-        a2, a3 = e2 * math.sqrt(3.0) / 4.0, e3 * math.sqrt(3.0) / 4.0
-        a4 = 4.0 * a2 * a3
-        a = Quaternion(0.25, a2, a3, a4)
-        zeta = Quaternion(-0.5, 0.0, et * R32, 0.0)
-        b0 = np.array([-0.5, 0.0, 2.0 * a3, 0.0])
-        bw = np.zeros((4, 2))
-        bw[0, 1] = -(4.0 / 3.0) * a4
-        bw[1, 0] = 1.0
-        bw[2, 0] = -(16.0 / 3.0) * a2 * a3
-        bw[2, 1] = (32.0 / 9.0) * a3 * a4
-        bw[3, 1] = 1.0
-        b = Quaternion(*_ellipse_solution(b0, bw, psi))
-        return family3_matrix(a, b, zeta)
-    if family_id == "s5":
-        if len(params) != 2:
-            raise BadParams("s5 takes (a1, psi)")
-        a1, psi = params
-        if not -0.5 < a1 < 1.0:
-            raise NoRealSolution("a1 must lie in (-1/2, 1)")
-        e2, e3, e4, et = _signs(variant, 4)
-        a2 = e2 * (1.0 - a1) / math.sqrt(3.0)
-        q = (1.0 - a1) * (1.0 + 2.0 * a1) / 6.0
-        a3 = e3 * math.sqrt(q)
-        a4 = e4 * math.sqrt(3.0 * q)
-        a = Quaternion(a1, a2, a3, a4)
-        t = et * 2.0 * abs(a3)
-        s = -(a1 * a4 - a2 * a3) * t / (a3 * a3 + a4 * a4)
-        if abs(s * s + t * t - 0.75) > 1e-9:
-            raise NoRealSolution("sign combination leaves the (s,t) circle")
-        zeta = Quaternion(-0.5, s, t, 0.0)
-        b0 = np.array([-0.5, (1.0 - a1) / (2.0 * a2), 0.0, 0.0])
-        bw = np.zeros((4, 2))
-        bw[0, 1] = -a2 / a3
-        bw[1, 0] = -a3 / a2
-        bw[1, 1] = 1.0 / (2.0 * a3)
-        bw[2, 0] = 1.0
-        bw[3, 1] = 1.0
-        b = Quaternion(*_ellipse_solution(b0, bw, psi))
-        return family3_matrix(a, b, zeta)
-    raise BadParams(f"unknown special family {family_id!r}")
+    frames, ok = special3_arr(family_id, [tuple(params)], [variant])
+    if not ok[0]:
+        raise NoRealSolution(f"{family_id} has no real member for these "
+                             "parameters and signs")
+    return QMatrix(frames[0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +500,8 @@ def verify_family3(m: QMatrix, family_id: str, tol: float = 1e-9) -> bool:
 
 
 def alphas_arr(a: np.ndarray):
-    """alpha coefficients for an (N,4) array of unit quaternions."""
-    a1, a2, a3, a4 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    """alpha coefficients for a (...,4) array of unit quaternions."""
+    a1, a2, a3, a4 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     alpha0 = 1 - a1 + 4 * a1 * a2 ** 2 + 2 * a1 * a4 ** 2 + 2 * a2 * a3 * a4 \
         - 2 * a3 ** 2 - 2 * a4 ** 2
     alpha1 = a1 ** 2 * a4 - a2 ** 2 * a4 + 2 * a1 * a2 * a3 - a1 * a4 + a2 * a3
@@ -490,8 +511,8 @@ def alphas_arr(a: np.ndarray):
 
 
 def p_arr(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return (a[:, 2] ** 2 + a[:, 3] ** 2) * s + (a[:, 0] * a[:, 3]
-                                                - a[:, 1] * a[:, 2]) * t
+    return (a[..., 2] ** 2 + a[..., 3] ** 2) * s + (a[..., 0] * a[..., 3]
+                                                    - a[..., 1] * a[..., 2]) * t
 
 
 def phi_circle_roots_arr(a: np.ndarray):
@@ -556,22 +577,25 @@ def system_dets_arr(a: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return dets
 
 
-def family3_matrix_arr(a: np.ndarray, b: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Batched family frames, shape (N,3,3,4)."""
-    n = a.shape[0]
-    one = np.zeros((n, 4))
-    one[:, 0] = 1.0
-    zeta2 = qmul(zeta, zeta)
-    out = np.empty((n, 3, 3, 4))
-    out[:, 0, 0] = one
-    out[:, 0, 1] = one
-    out[:, 0, 2] = one
-    out[:, 1, 0] = a
-    out[:, 1, 1] = qmul(a, zeta)
-    out[:, 1, 2] = qmul(a, zeta2)
-    out[:, 2, 0] = b
-    out[:, 2, 1] = qmul(b, zeta2)
-    out[:, 2, 2] = qmul(b, zeta)
+def family3_matrix_arr(a: np.ndarray, b: np.ndarray, zeta: np.ndarray,
+                       zeta2: np.ndarray | None = None) -> np.ndarray:
+    """Family frames for (...,4) arrays a, b and zeta, shape (...,3,3,4).
+    The zeta^2 entries are a*zeta2 and b*zeta2 when zeta2 = zeta*zeta is
+    given (the generic sweep), else (a*zeta)*zeta and (b*zeta)*zeta (the
+    constructors); the two round differently in the last bit."""
+    lead = np.broadcast_shapes(a.shape, b.shape, zeta.shape)[:-1]
+    out = np.empty(lead + (3, 3, 4))
+    out[..., 0, :, :] = [1.0, 0.0, 0.0, 0.0]
+    out[..., 1, 0, :] = a
+    out[..., 1, 1, :] = qmul(a, zeta)
+    out[..., 2, 0, :] = b
+    out[..., 2, 2, :] = qmul(b, zeta)
+    if zeta2 is None:
+        out[..., 1, 2, :] = qmul(out[..., 1, 1, :], zeta)
+        out[..., 2, 1, :] = qmul(out[..., 2, 2, :], zeta)
+    else:
+        out[..., 1, 2, :] = qmul(a, zeta2)
+        out[..., 2, 1, :] = qmul(b, zeta2)
     return out
 
 
@@ -623,42 +647,21 @@ def generic_family_chunks(resolution: int, chunk_size: int = 8192,
             continue
         a_sel, zeta = a_sel[solvable], zeta[solvable]
         b = np.linalg.solve(b_mat[solvable], v[solvable][:, :, None])[:, :, 0]
-        yield family3_matrix_arr(a_sel, b, zeta)
+        yield family3_matrix_arr(a_sel, b, zeta, qmul(zeta, zeta))
 
 
 def special_family_points(family_id: str, resolution: int) -> np.ndarray:
     """All grid points of a special family at the given per-axis resolution,
-    as an (N,3,3,4) array.  Infeasible sign combinations are skipped."""
+    as an (N,3,3,4) array ordered by (variant, first parameter, second
+    parameter).  Infeasible sign combinations are skipped."""
     res = int(resolution)
     angles = np.arange(res) * 2.0 * np.pi / res
-    frames = []
-    if family_id == "s1":
-        combos = [(b, th) for b in angles for th in angles]
-        for prm in combos:
-            frames.append(special3("s1", prm).data)
-    elif family_id in ("s2", "s3"):
-        for variant in (0, 1):
-            for th in angles:
-                for psi in angles:
-                    frames.append(special3(family_id, (th, psi), variant).data)
-    elif family_id == "s4":
-        for variant in range(8):
-            for psi in angles:
-                try:
-                    frames.append(special3("s4", (psi,), variant).data)
-                except NoRealSolution:
-                    continue
-    elif family_id == "s5":
-        a1_grid = -0.5 + (np.arange(res) + 0.5) * 1.5 / res
-        for variant in range(16):
-            for a1 in a1_grid:
-                for psi in angles:
-                    try:
-                        frames.append(special3("s5", (a1, psi), variant).data)
-                    except NoRealSolution:
-                        continue
-    else:
+    axes = {"s1": [(0,), angles, angles], "s2": [(0, 1), angles, angles],
+            "s3": [(0, 1), angles, angles], "s4": [range(8), angles],
+            "s5": [range(16), -0.5 + (np.arange(res) + 0.5) * 1.5 / res, angles]}
+    if family_id not in axes:
         raise BadParams(f"unknown special family {family_id!r}")
-    if not frames:
-        return np.zeros((0, 3, 3, 4))
-    return np.array(frames)
+    variant, *params = (g.ravel() for g in np.meshgrid(
+        *(np.asarray(ax) for ax in axes[family_id]), indexing="ij"))
+    frames, ok = special3_arr(family_id, np.stack(params, axis=1), variant)
+    return frames[ok]

@@ -288,39 +288,56 @@ def _conj_transforms(conj_grid: int) -> np.ndarray:
     j e^{i theta}: a rotation by 2 theta in the (j,k) plane, optionally
     followed by the flip that negates i and k."""
     thetas = np.arange(conj_grid) * np.pi / conj_grid
-    out = np.zeros((2 * conj_grid, 4, 4))
-    flip = np.diag([1.0, -1.0, 1.0, -1.0])
-    for g, th in enumerate(thetas):
-        c, s = np.cos(2 * th), np.sin(2 * th)
-        rot = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, c, -s],
-            [0.0, 0.0, s, c],
-        ])
-        out[g] = rot
-        out[conj_grid + g] = flip @ rot
-    return out
+    rot = np.zeros((conj_grid, 4, 4))
+    rot[:, 0, 0] = rot[:, 1, 1] = 1.0
+    rot[:, 2, 2] = rot[:, 3, 3] = np.cos(2 * thetas)
+    rot[:, 3, 2] = np.sin(2 * thetas)
+    rot[:, 2, 3] = -rot[:, 3, 2]
+    flip = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    return np.concatenate([rot, flip * rot])
 
 
-_OMEGA_ARR = hadamard.OMEGA.as_array()
-_OMEGA2_ARR = qmul(_OMEGA_ARR, _OMEGA_ARR)
-_W_POWS = [np.array([1.0, 0.0, 0.0, 0.0]), _OMEGA_ARR, _OMEGA2_ARR]
-
-
-def _left_move(batch: np.ndarray, shift: int, zpow: int) -> np.ndarray:
-    """Apply the cyclic row shift and the clock-phase row scaling that
-    stabilize the identity/Fourier pair up to right monomials."""
-    out = np.roll(batch, -shift, axis=-3)
-    if zpow % 3:
-        for row in range(3):
-            scale = _W_POWS[(zpow * row) % 3]
-            out[..., row, :, :] = qmul(scale, out[..., row, :, :])
-    return out
-
-
-_MOVES = [(m, p) for m in range(3) for p in range(3)]
+_W_POWS = np.array([[1.0, 0.0, 0.0, 0.0], hadamard.OMEGA.as_array(),
+                    (hadamard.OMEGA * hadamard.OMEGA).as_array()])
+# the stabilizer moves of the (I, F_3) pair up to right monomials: a cyclic
+# row shift by m, then left multiplication of row r by omega^(p r)
+_MOVES = np.array([(m, p) for m in range(3) for p in range(3)])
+_ROWS = np.arange(3)
 _SURVIVOR_BATCH = 1 << 15
+
+
+def _moved_frames(batch: np.ndarray, frames: np.ndarray,
+                  moves: np.ndarray) -> np.ndarray:
+    """Frames batch[frames] under the moves _MOVES[moves], shape (S,3,3,4)."""
+    shift, zpow = _MOVES[moves].T
+    rows = batch[frames[:, None], (_ROWS + shift[:, None]) % 3]
+    return qmul(_W_POWS[(zpow[:, None] * _ROWS) % 3][:, :, None, :], rows)
+
+
+def _fold_probe(probe: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """The prefilter as one matrix, shape (12, 4, 9, X).
+
+    For a frame with first column f, move (m, p) and conjugation T_x, the
+    prefilter tests |sum_k T_x(conj c_k) p_k| with c_k = omega^(p k) f_(k+m)
+    and p the probe.  T_x is an inner automorphism, so this equals
+    |sum_r conj(f_r) P_r| with P_r = conj(omega^(p k)) T_x^-1(p_k) and
+    k = r - m mod 3: moves and conjugations act on the probe alone.  Entry
+    (r, d, c, move, x) is coordinate c of e_d P_r.
+    """
+    k = (_ROWS - _MOVES[:, :1]) % 3
+    scale = qconj(_W_POWS[(_MOVES[:, 1:] * k) % 3])
+    back = np.einsum("xdc,kd->xkc", transforms, probe)  # T_x^-1(p_k)
+    folded = qmul(scale[:, None], np.swapaxes(back[:, k], 0, 1))
+    right = qmul(np.eye(4)[:, None, None, None, :], folded)  # (d, move, x, r, c)
+    return right.transpose(3, 0, 4, 1, 2).reshape((12, 4) + folded.shape[:2])
+
+
+def _prefilter(batch: np.ndarray, fold: np.ndarray, tol: float) -> np.ndarray:
+    """Survivor mask (N, 9, X) of the first cross inner product test."""
+    n = len(batch)
+    inner = qconj(batch[:, :, 0, :]).reshape(n, 12) @ fold.reshape(12, -1)
+    norms = np.square(inner, out=inner).reshape((n,) + fold.shape[1:]).sum(axis=1)
+    return np.abs(norms / 3.0 - 1.0 / 3.0) <= tol
 
 
 @dataclass
@@ -366,42 +383,33 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
     # [B_1 ... B_T] side by side: one product checks a candidate against all
     all_targets = np.concatenate(targets, axis=1)
     transforms = _conj_transforms(conj_grid)
-    n_conj = transforms.shape[0]
     root3 = math.sqrt(3.0)
     probe = targets[2][:, 0, :] if len(targets) > 2 else targets[1][:, 0, :]
+    fold = _fold_probe(probe, transforms)
     coarse_tol = 1e-3
+    # survivors are checked in blocks that grow, so an early hit stays cheap
+    block = 256
 
     for _fam, batch in _family_batches(grid):
-        count = batch.shape[0]
-        if count == 0:
-            continue
-        moved = np.stack([_left_move(batch, m, p) for m, p in _MOVES])
-        # prefilter on a single cross inner product: first candidate column
-        # against the probe column, under every conjugation at once
-        col0 = qconj(moved[:, :, :, 0, :])  # (9, N, 3, 4)
-        rotated = np.einsum("xcd,mnkd->mxnkc", transforms, col0, optimize=True)
-        inner = qmul(rotated, probe[None, None, None, :, :]).sum(axis=-2)
-        pre_dev = np.abs(qnormsq(inner) / 3.0 - 1.0 / 3.0)
-        mask = pre_dev <= coarse_tol + 1e-9  # (9, n_conj, N)
+        mask = _prefilter(batch, fold, coarse_tol + 1e-9)
         state.checked += mask.size
-        if not mask.any():
-            continue
-        midx, xidx, nidx = np.nonzero(mask)
-        order = np.lexsort((xidx, midx, nidx))
-        midx, xidx, nidx = midx[order], xidx[order], nidx[order]
-        for lo in range(0, midx.size, _SURVIVOR_BATCH):
-            hi = min(lo + _SURVIVOR_BATCH, midx.size)
+        # row-major order is the scan order: frame, move, conjugation
+        nidx, midx, xidx = np.nonzero(mask)
+        lo = 0
+        while lo < nidx.size:
+            hi = min(lo + block, nidx.size)
+            block = min(2 * block, _SURVIVOR_BATCH)
             cands = np.einsum("scd,sijd->sijc", transforms[xidx[lo:hi]],
-                              moved[midx[lo:hi], nidx[lo:hi]],
+                              _moved_frames(batch, nidx[lo:hi], midx[lo:hi]),
                               optimize=True) / root3
             grams = qmat_mul(qmat_adjoint(cands), all_targets)
             devs = np.max(np.abs(qnormsq(grams) - 1.0 / 3.0), axis=(-2, -1))
-            for pos in range(cands.shape[0]):
+            for pos in np.flatnonzero(devs <= coarse_tol):
                 if devs[pos] <= 1e-9:
                     return QMatrix(cands[pos])
-                if devs[pos] <= coarse_tol:
-                    state.near_misses += 1
-                    polished, viol = _descend(cands[pos], targets)
-                    if viol <= 1e-9:
-                        return QMatrix(polished)
+                state.near_misses += 1
+                polished, viol = _descend(cands[pos], targets)
+                if viol <= 1e-9:
+                    return QMatrix(polished)
+            lo = hi
     return None

@@ -1,13 +1,18 @@
 """Loop and broadcast implementations kept as references for the kernels.
 
 These are the direct quaternion formulations that the complex-adjoint
-kernels in qstoch.qmatrix replaced.  They share no code path with those
-kernels beyond the elementwise Hamilton product, so a kernel defect cannot
-hide in a comparison against them.
+kernels in qstoch.qmatrix, the folded prefilter of the H^3 extension sweep
+and the batched special 3x3 families replaced.  They share no code path
+with those beyond the elementwise Hamilton product (and the generic-family
+generator feeding the sweep), so a defect cannot hide in a comparison
+against them.
 """
+
+import math
 
 import numpy as np
 
+from qstoch import hadamard
 from qstoch.qmatrix import qconj, qmul, qnormsq
 
 
@@ -35,3 +40,193 @@ def gram_schmidt_loop(arr: np.ndarray, passes: int = 2) -> np.ndarray:
             nrm = np.sqrt(qnormsq(a[:, j, :]).sum())
             a[:, j, :] /= nrm
     return a
+
+
+# ---------------------------------------------------------------------------
+# the H^3 extension sweep before the folded prefilter
+# ---------------------------------------------------------------------------
+
+R32 = math.sqrt(3.0) / 2.0
+_OMEGA = np.array([-0.5, R32, 0.0, 0.0])
+_W_POWS = [np.array([1.0, 0.0, 0.0, 0.0]), _OMEGA, qmul(_OMEGA, _OMEGA)]
+MOVES = [(m, p) for m in range(3) for p in range(3)]
+
+
+def conj_transforms(conj_grid: int) -> np.ndarray:
+    """Component maps of conjugation by e^{i theta} and by j e^{i theta},
+    built from the Hamilton product itself: column d of the map of u is
+    the coordinates of u e_d conj(u)."""
+    thetas = np.arange(conj_grid) * np.pi / conj_grid
+    rot = np.stack([np.cos(thetas), np.sin(thetas), 0 * thetas, 0 * thetas], -1)
+    units = np.concatenate([rot, qmul(np.array([0.0, 0.0, 1.0, 0.0]), rot)])
+    basis = np.eye(4)[None, :, :]
+    images = qmul(qmul(units[:, None, :], basis), qconj(units)[:, None, :])
+    return np.swapaxes(images, 1, 2)
+
+
+def left_move(batch: np.ndarray, shift: int, zpow: int) -> np.ndarray:
+    """Cyclic row shift, then row r scaled on the left by omega^(zpow r)."""
+    out = np.roll(batch, -shift, axis=-3)
+    if zpow % 3:
+        for row in range(3):
+            scale = _W_POWS[(zpow * row) % 3]
+            out[..., row, :, :] = qmul(scale, out[..., row, :, :])
+    return out
+
+
+def broadcast_prefilter(batch: np.ndarray, probe: np.ndarray,
+                        transforms: np.ndarray, tol: float):
+    """Every move of every frame, conjugated every way, then the first cross
+    inner product against the probe by broadcast Hamilton products.
+    Returns the moved stack and the survivors as (frame, move, conj) rows
+    in scan order."""
+    moved = np.stack([left_move(batch, m, p) for m, p in MOVES])
+    col0 = qconj(moved[:, :, :, 0, :])  # (9, N, 3, 4)
+    rotated = np.einsum("xcd,mnkd->mxnkc", transforms, col0)
+    inner = qmul(rotated, probe[None, None, None, :, :]).sum(axis=-2)
+    mask = np.abs(qnormsq(inner) / 3.0 - 1.0 / 3.0) <= tol  # (9, X, N)
+    midx, xidx, nidx = np.nonzero(mask)
+    order = np.lexsort((xidx, midx, nidx))
+    return moved, np.stack([nidx, midx, xidx], axis=1)[order]
+
+
+def extend_search_loop(mubset, grid: int, conj_grid: int, chunk: int = 4096):
+    """The sweep as a scan over every candidate: the broadcast prefilter, the
+    scalar special-family loop below, and a per-candidate check.  Returns
+    (found, checked, near_misses); near misses are counted, not polished."""
+    targets = [b.data for b in mubset.bases]
+    transforms = conj_transforms(conj_grid)
+    probe = targets[2][:, 0, :] if len(targets) > 2 else targets[1][:, 0, :]
+    batches = [b for b in hadamard.generic_family_chunks(grid, chunk_size=chunk)]
+    batches += [special_family_points_loop(f, grid)
+                for f in ("s1", "s2", "s3", "s4", "s5")]
+    checked = near = 0
+    for pts in batches:
+        for start in range(0, pts.shape[0], chunk):
+            batch = pts[start:start + chunk]
+            moved, survivors = broadcast_prefilter(batch, probe, transforms,
+                                                   1e-3 + 1e-9)
+            checked += 9 * transforms.shape[0] * batch.shape[0]
+            for n, m, x in survivors:
+                cand = np.einsum("cd,ijd->ijc", transforms[x],
+                                 moved[m, n]) / math.sqrt(3.0)
+                dev = max(np.max(np.abs(qnormsq(hamilton_qmat_mul(
+                    qconj(np.swapaxes(cand, 0, 1)), t)) - 1.0 / 3.0))
+                    for t in targets)
+                if dev <= 1e-9:
+                    return cand, checked, near
+                near += dev <= 1e-3
+    return None, checked, near
+
+
+# ---------------------------------------------------------------------------
+# the special 3x3 families, one member at a time
+# ---------------------------------------------------------------------------
+
+
+def _zeta(theta: float) -> np.ndarray:
+    return np.array([-0.5, R32 * math.cos(theta), R32 * math.sin(theta), 0.0])
+
+
+def _frame(a: np.ndarray, b: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    az, bz = qmul(a, zeta), qmul(b, zeta)
+    return np.array([[one, one, one], [a, az, qmul(az, zeta)],
+                     [b, qmul(bz, zeta), bz]])
+
+
+def ellipse_point(b0: np.ndarray, bw: np.ndarray, psi: float):
+    """Point with |b0 + bw @ w| = 1 along direction psi from the ellipse
+    center, or None when the unit-norm constraint has no real solution."""
+    m = bw.T @ bw
+    c = bw.T @ b0
+    center = np.linalg.solve(m, -c)
+    rho = 1.0 - b0 @ b0 + c @ np.linalg.solve(m, c)
+    if rho < 0.0:
+        return None
+    u = np.array([math.cos(psi), math.sin(psi)])
+    return b0 + bw @ (center + math.sqrt(rho / (u @ m @ u)) * u)
+
+
+def special3_scalar(family_id: str, params, variant: int = 0):
+    """One special-family frame as a (3,3,4) array, or None where the
+    family has no real member."""
+    signs = [1.0 - 2.0 * ((variant >> k) & 1) for k in range(4)]
+    if family_id == "s1":
+        beta, theta = params
+        return _frame(np.array([1.0, 0.0, 0.0, 0.0]), _zeta(beta), _zeta(theta))
+    if family_id == "s2":
+        theta, psi = params
+        zeta = _zeta(theta)
+        a = zeta if signs[0] > 0 else qmul(zeta, zeta)
+        g = a[1] * math.cos(psi) + a[2] * math.sin(psi)
+        h = a[2] * math.cos(psi) - a[1] * math.sin(psi)
+        b = np.array([1.0 - 2.0 * g * g, g * math.cos(psi), g * math.sin(psi),
+                      2.0 * g * h])
+        return _frame(a, b, zeta)
+    if family_id == "s3":
+        theta, psi = params
+        ax = signs[0] * R32
+        b2 = ax / 2.0 + (math.sqrt(3.0) / 4.0) * math.cos(psi)
+        b3 = (math.sqrt(3.0) / 4.0) * math.sin(psi)
+        b = np.array([1.0 - 2.0 * ax * b2, b2, b3, 2.0 * ax * b3])
+        return _frame(np.array([-0.5, ax, 0.0, 0.0]), b, _zeta(theta))
+    if family_id == "s4":
+        (psi,) = params
+        e2, e3, et = signs[:3]
+        a2, a3 = e2 * math.sqrt(3.0) / 4.0, e3 * math.sqrt(3.0) / 4.0
+        a4 = 4.0 * a2 * a3
+        bw = np.zeros((4, 2))
+        bw[0, 1] = -(4.0 / 3.0) * a4
+        bw[1, 0] = 1.0
+        bw[2, 0] = -(16.0 / 3.0) * a2 * a3
+        bw[2, 1] = (32.0 / 9.0) * a3 * a4
+        bw[3, 1] = 1.0
+        b = ellipse_point(np.array([-0.5, 0.0, 2.0 * a3, 0.0]), bw, psi)
+        if b is None:
+            return None
+        return _frame(np.array([0.25, a2, a3, a4]), b,
+                      np.array([-0.5, 0.0, et * R32, 0.0]))
+    a1, psi = params
+    if not -0.5 < a1 < 1.0:
+        return None
+    e2, e3, e4, et = signs
+    a2 = e2 * (1.0 - a1) / math.sqrt(3.0)
+    q = (1.0 - a1) * (1.0 + 2.0 * a1) / 6.0
+    a3 = e3 * math.sqrt(q)
+    a4 = e4 * math.sqrt(3.0 * q)
+    t = et * 2.0 * abs(a3)
+    s = -(a1 * a4 - a2 * a3) * t / (a3 * a3 + a4 * a4)
+    if abs(s * s + t * t - 0.75) > 1e-9:
+        return None
+    bw = np.zeros((4, 2))
+    bw[0, 1] = -a2 / a3
+    bw[1, 0] = -a3 / a2
+    bw[1, 1] = 1.0 / (2.0 * a3)
+    bw[2, 0] = 1.0
+    bw[3, 1] = 1.0
+    b = ellipse_point(np.array([-0.5, (1.0 - a1) / (2.0 * a2), 0.0, 0.0]),
+                       bw, psi)
+    if b is None:
+        return None
+    return _frame(np.array([a1, a2, a3, a4]), b, np.array([-0.5, s, t, 0.0]))
+
+
+def special_family_points_loop(family_id: str, resolution: int) -> np.ndarray:
+    """The grid of a special family, one special3_scalar call per point, in
+    the order (variant, first parameter, second parameter)."""
+    angles = np.arange(resolution) * 2.0 * np.pi / resolution
+    if family_id == "s1":
+        combos = [(0, (b, th)) for b in angles for th in angles]
+    elif family_id in ("s2", "s3"):
+        combos = [(v, (th, psi)) for v in (0, 1) for th in angles
+                  for psi in angles]
+    elif family_id == "s4":
+        combos = [(v, (psi,)) for v in range(8) for psi in angles]
+    else:
+        a1_grid = -0.5 + (np.arange(resolution) + 0.5) * 1.5 / resolution
+        combos = [(v, (a1, psi)) for v in range(16) for a1 in a1_grid
+                  for psi in angles]
+    frames = [special3_scalar(family_id, prm, v) for v, prm in combos]
+    frames = [f for f in frames if f is not None]
+    return np.array(frames).reshape(-1, 3, 3, 4)
