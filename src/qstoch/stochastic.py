@@ -7,10 +7,8 @@ through phi, the entrywise squared-norm map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from .qmatrix import QMatrix
@@ -128,53 +126,49 @@ def sigma_poly_4(b: BistochasticMatrix) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Sigma_n by exhaustive signing
+# Sigma_n by meet in the middle
 # ---------------------------------------------------------------------------
 
 _SIGMA_MAX_N = 24
-_SIGN_BLOCK = 1 << 14  # keeps the per-block sums array modest even at n = 24
 
 
-def _sign_block(n: int, start: int, count: int) -> np.ndarray:
-    """Rows are sign vectors of length n; the first sign is fixed +1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n - 1, dtype=np.uint64)[None, :]) & 1
-    signs = np.empty((count, n))
-    signs[:, 0] = 1.0
-    signs[:, 1:] = 1.0 - 2.0 * bits.astype(float)
-    return signs
+def _signed_sums(t: np.ndarray) -> np.ndarray:
+    """All 2^k signed sums of the k columns of t, one row of sums per row of
+    t; bit m of a sum's index flips the sign of column m."""
+    k = t.shape[1]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return t @ (1.0 - 2.0 * bits).T
 
 
 def sigma_pair_minima(b: BistochasticMatrix) -> list[tuple[str, int, int, float]]:
     """Best achievable |sum of signed sqrt products| for every row/column pair.
 
-    Exhausts the 2^(n-1) sign vectors (first sign fixed +1).  Returns tuples
-    (kind, i, j, min_abs) with kind "col" or "row" and 0-based indices.
+    Min |sum_k s_k t_k| is a partition problem, solved exactly by meet in the
+    middle (Horowitz & Sahni, JACM 21, 1974): the signed sums of the first
+    (n+1)//2 terms (first sign fixed +1) meet the sorted signed sums of the
+    rest, and the best partner of a left sum l is a neighbour of -l in that
+    order.  This takes about 2^(n/2) steps per pair instead of 2^(n-1).
+    Returns tuples (kind, i, j, min_abs) with kind "col" or "row" and
+    0-based indices, column pairs first.
     """
     n = b.n
     if n > _SIGMA_MAX_N:
         raise TooLarge(f"sigma system enumeration capped at n = {_SIGMA_MAX_N}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    targets = []
-    labels = []
-    for i, j in pairs:
-        targets.append(np.sqrt(b.mat[:, i] * b.mat[:, j]))
-        labels.append(("col", i, j))
-    for i, j in pairs:
-        targets.append(np.sqrt(b.mat[i, :] * b.mat[j, :]))
-        labels.append(("row", i, j))
-    t = np.array(targets)  # (n_pairs, n)
-    total = 1 << (n - 1)
-    best = np.full(len(labels), np.inf)
-    start = 0
-    while start < total:
-        count = min(_SIGN_BLOCK, total - start)
-        signs = _sign_block(n, start, count)
-        sums = np.abs(signs @ t.T)  # (count, n_pairs)
-        best = np.minimum(best, sums.min(axis=0))
-        start += count
-        if np.max(best) == 0.0:
-            break
+    labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
+    t = np.array([np.sqrt(b.mat[:, i] * b.mat[:, j]) for i, j in pairs]
+                 + [np.sqrt(b.mat[i, :] * b.mat[j, :]) for i, j in pairs]
+                 ).reshape(len(labels), n)
+    half = (n + 1) // 2
+    left = t[:, :1] + _signed_sums(t[:, 1:half])
+    right = np.sort(_signed_sums(t[:, half:]), axis=1)
+    pos = np.empty(left.shape, dtype=np.intp)
+    for p in range(len(labels)):
+        pos[p] = np.searchsorted(right[p], -left[p])
+    last = right.shape[1] - 1
+    below = np.take_along_axis(right, np.maximum(pos - 1, 0), axis=1)
+    above = np.take_along_axis(right, np.minimum(pos, last), axis=1)
+    best = np.minimum(np.abs(left + below), np.abs(left + above)).min(axis=1)
     return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
 
 
@@ -190,37 +184,43 @@ def sigma_check(b: BistochasticMatrix, tol: float = 1e-9) -> bool:
 _BRUTE_MAX_N = 5
 
 
-@lru_cache(maxsize=8)
-def _pattern_block(n: int):
-    """All sign patterns with first row and column fixed +1, as one array."""
-    free = (n - 1) * (n - 1)
-    idx = np.arange(1 << free, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(free, dtype=np.uint64)[None, :]) & 1
-    pats = np.ones((1 << free, n, n))
-    pats[:, 1:, 1:] = (1.0 - 2.0 * bits.astype(float)).reshape(-1, n - 1, n - 1)
-    return pats
-
-
 def orthostochastic_bruteforce(b: BistochasticMatrix, tol: float = 1e-8):
     """Search sign patterns making sqrt(B) orthogonal; None when there is none.
 
     Fixing the first row and column to +1 loses nothing: signs of an
     orthogonal preimage can always be dephased over R, and a sign at a zero
-    entry is immaterial.  Candidates are scanned in a fixed order, so the
-    returned pattern is deterministic.
+    entry is immaterial, so it is kept +1.  Patterns are completed column
+    by column: a candidate column (first sign +1) survives only when its
+    inner product with every placed column, and its squared norm minus 1,
+    are within tol.  Of the complete patterns the one returned is the first
+    in the scan order where bit (r-1)(n-1)+(c-1) of the index is the sign
+    of entry (r, c), so the result is deterministic.
     """
     n = b.n
     if n > _BRUTE_MAX_N:
         raise TooLarge(f"pattern search capped at n = {_BRUTE_MAX_N}")
     root = np.sqrt(b.mat)
-    pats = _pattern_block(n)
-    cands = pats * root
-    grams = np.einsum("pki,pkj->pij", cands, cands)
-    dev = np.max(np.abs(grams - np.eye(n)), axis=(1, 2))
-    hits = np.nonzero(dev <= tol)[0]
-    if hits.size == 0:
+    if not abs(root[:, 0] @ root[:, 0] - 1.0) <= tol:
         return None
-    return SignPattern(n, pats[hits[0]].copy())
+    flips = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    row_bit = (n - 1) * np.arange(n - 1)  # index bit of entry (r, 1), r >= 1
+    placed = root[None, :, :1]  # (partial patterns, n, columns placed)
+    index = np.zeros(1, dtype=np.int64)
+    for c in range(1, n):
+        # flipping a zero entry changes no inner product, only the index
+        f = flips[~(flips & (root[1:, c] == 0.0)).any(axis=1)]
+        cand = root[:, c] * np.hstack([np.ones((len(f), 1)), 1.0 - 2.0 * f])
+        norm_ok = np.abs(np.einsum("kr,kr->k", cand, cand) - 1.0) <= tol
+        inner = np.einsum("prc,kr->pkc", placed, cand)
+        p, q = np.nonzero((np.abs(inner) <= tol).all(axis=2) & norm_ok)
+        if p.size == 0:
+            return None
+        placed = np.concatenate([placed[p], cand[q, :, None]], axis=2)
+        index = index[p] + (f[q] << (row_bit + c - 1)).sum(axis=1)
+    bits = (index.min() >> np.arange((n - 1) * (n - 1))) & 1
+    signs = np.ones((n, n))
+    signs[1:, 1:] = (1.0 - 2.0 * bits).reshape(n - 1, n - 1)
+    return SignPattern(n, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,13 @@ def _j3_objective(angles: np.ndarray):
     return f, grad
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: the import takes
+    most of a second and only the J_3 distance needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class DistanceResult:
     distance: float
@@ -392,19 +399,3 @@ def hurwitz_radon_matrix(seed: int = 0) -> BistochasticMatrix:
     alpha = np.arange(16)
     table = alpha[:, None] ^ alpha[None, :]
     return BistochasticMatrix(weights[table])
-
-
-# ---------------------------------------------------------------------------
-# sampling helpers for the test suites
-# ---------------------------------------------------------------------------
-
-
-def birkhoff_sample(n: int, rng) -> BistochasticMatrix:
-    """Convex combination of at most n^2 random permutation matrices with
-    Dirichlet-uniform weights."""
-    m = int(rng.integers(1, n * n + 1))
-    weights = rng.dirichlet(np.ones(m))
-    out = np.zeros((n, n))
-    for w in weights:
-        out += w * permutation_array(rng.permutation(n))
-    return BistochasticMatrix(out)

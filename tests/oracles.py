@@ -1,11 +1,14 @@
-"""Loop and broadcast implementations kept as references for the kernels.
+"""Loop, broadcast and exhaustive implementations kept as references.
 
 These are the direct quaternion formulations that the complex-adjoint
 kernels in qstoch.qmatrix, the folded prefilter of the H^3 extension sweep
-and the batched special 3x3 families replaced.  They share no code path
-with those beyond the elementwise Hamilton product (and the generic-family
-generator feeding the sweep), so a defect cannot hide in a comparison
-against them.
+and the batched special 3x3 families replaced, and the exhaustive sign
+enumerations that the meet-in-the-middle sigma search and the column-by-
+column pattern completion in qstoch.stochastic replaced.  They share no
+code path with those beyond the elementwise Hamilton product (and the
+generic-family generator feeding the sweep), so a defect cannot hide in a
+comparison against them.  The Birkhoff sampler used by the tests lives
+here too.
 """
 
 import math
@@ -14,6 +17,8 @@ import numpy as np
 
 from qstoch import hadamard
 from qstoch.qmatrix import qconj, qmul, qnormsq
+from qstoch.stochastic import (BistochasticMatrix, SignPattern,
+                               permutation_array)
 
 
 def hamilton_qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,3 +235,66 @@ def special_family_points_loop(family_id: str, resolution: int) -> np.ndarray:
     frames = [special3_scalar(family_id, prm, v) for v, prm in combos]
     frames = [f for f in frames if f is not None]
     return np.array(frames).reshape(-1, 3, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# the sign-feasibility system and the pattern brute force, exhaustively
+# ---------------------------------------------------------------------------
+
+
+def birkhoff_sample(n: int, rng) -> BistochasticMatrix:
+    """Convex combination of at most n^2 random permutation matrices with
+    Dirichlet-uniform weights."""
+    m = int(rng.integers(1, n * n + 1))
+    weights = rng.dirichlet(np.ones(m))
+    out = np.zeros((n, n))
+    for w in weights:
+        out += w * permutation_array(rng.permutation(n))
+    return BistochasticMatrix(out)
+
+
+def _sign_block(n: int, start: int, count: int) -> np.ndarray:
+    """Rows are sign vectors of length n; the first sign is fixed +1."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    bits = (idx[:, None] >> np.arange(n - 1, dtype=np.uint64)[None, :]) & 1
+    signs = np.empty((count, n))
+    signs[:, 0] = 1.0
+    signs[:, 1:] = 1.0 - 2.0 * bits.astype(float)
+    return signs
+
+
+def sigma_pair_minima_exhaustive(b: BistochasticMatrix, block: int = 1 << 14):
+    """Every pair's min |sum of signed sqrt products| over all 2^(n-1) sign
+    vectors (first sign +1), as (kind, i, j, min_abs) in the program's
+    order: column pairs, then row pairs."""
+    n = b.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
+    t = np.array([np.sqrt(b.mat[:, i] * b.mat[:, j]) for i, j in pairs]
+                 + [np.sqrt(b.mat[i, :] * b.mat[j, :]) for i, j in pairs])
+    t = t.reshape(len(labels), n)
+    best = np.full(len(labels), np.inf)
+    total = 1 << (n - 1)
+    for start in range(0, total, block):
+        signs = _sign_block(n, start, min(block, total - start))
+        best = np.minimum(best, np.abs(signs @ t.T).min(axis=0))
+    return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
+
+
+def orthostochastic_bruteforce_tensor(b: BistochasticMatrix, tol: float = 1e-8):
+    """All 2^((n-1)^2) sign patterns with first row and column +1 as one
+    tensor, Gram-checked at once; the first hit in index order (bit
+    (r-1)(n-1)+(c-1) is the sign of entry (r, c)), or None."""
+    n = b.n
+    free = (n - 1) * (n - 1)
+    idx = np.arange(1 << free, dtype=np.uint64)
+    bits = (idx[:, None] >> np.arange(free, dtype=np.uint64)[None, :]) & 1
+    pats = np.ones((1 << free, n, n))
+    pats[:, 1:, 1:] = (1.0 - 2.0 * bits.astype(float)).reshape(1 << free, n - 1, n - 1)
+    cands = pats * np.sqrt(b.mat)
+    grams = np.einsum("pki,pkj->pij", cands, cands)
+    dev = np.max(np.abs(grams - np.eye(n)), axis=(1, 2))
+    hits = np.nonzero(dev <= tol)[0]
+    if hits.size == 0:
+        return None
+    return SignPattern(n, pats[hits[0]].copy())

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qstoch
 from qstoch.cli import main
 from qstoch.mub import complete_mub_h2, write_mubset
 from qstoch.qmatrix import (fourier, identity, random_symplectic,
@@ -93,6 +97,38 @@ class TestStochasticCommands:
         header, row = first.strip().splitlines()
         assert header == "distance,iterations,restarts"
         assert abs(float(row.split(",")[0]) - math.sqrt(2) / 3) < 1e-6
+
+    def test_distance_text_output_pinned(self, capsys):
+        assert main(["distance-j3", "--restarts", "5", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "distance=0.4714045208\n"
+            "rmat 3 3\n"
+            "0.11111111171663658 0.44444444452398774 0.44444444375937553\n"
+            "0.44444444361420526 0.44444444512255499 0.11111111126323964\n"
+            "0.444444444669158 0.11111111035345712 0.44444444497738478\n")
+        assert main(["--format", "csv", "distance-j3", "--restarts", "5",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "distance,iterations,restarts\n0.47140452079103157,71,5\n")
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qstoch.__file__))
+        code = ("import sys, qstoch.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
+    def test_n1_sigma_and_bruteforce(self, tmp_path, capsys):
+        path = tmp_path / "one.rmat"
+        path.write_text("rmat 1 1\n1\n")
+        assert main(["sigma", str(path)]) == 0
+        assert capsys.readouterr().out == "sigma=true pairs=0\n"
+        assert main(["--format", "csv", "sigma", str(path)]) == 0
+        assert capsys.readouterr().out == "kind,i,j,min_abs\n"
+        assert main(["bruteforce-ortho", str(path)]) == 0
+        assert capsys.readouterr().out == "rmat 1 1\n1\n"
 
     def test_hurwitz_radon(self, capsys):
         assert main(["hurwitz-radon", "--seed", "0"]) == 0

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (birkhoff_sample, orthostochastic_bruteforce_tensor,
+                     sigma_pair_minima_exhaustive)
 from qstoch.errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from qstoch.qmatrix import QMatrix, fourier, haar_orthogonal, random_symplectic
-from qstoch.stochastic import (BistochasticMatrix, birkhoff_sample,
+from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                distance_j3, distance_j3_report,
                                hurwitz_radon_matrix, ortho3_residual,
                                ortho3_test, orthostochastic_bruteforce,
@@ -153,6 +157,147 @@ class TestSigmaCheck:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             sigma_check(van_der_waerden(25))
+
+
+def _minima(rows):
+    return np.array([m for _, _, _, m in rows])
+
+
+def _sparse_birkhoff(n, rng, terms):
+    """A few weighted permutations, so most entries are exactly zero."""
+    out = np.zeros((n, n))
+    for w in rng.dirichlet(np.ones(terms)):
+        out += w * permutation_array(rng.permutation(n))
+    return BistochasticMatrix(out)
+
+
+def _block_sum(n, rng):
+    """A shuffled direct sum of J_2 blocks (and a 1x1 block for odd n):
+    orthostochastic, with zero entries and many sign patterns that work."""
+    out = np.zeros((n, n))
+    for start in range(0, n - 1, 2):
+        out[start:start + 2, start:start + 2] = 0.5
+    if n % 2:
+        out[-1, -1] = 1.0
+    out = out[rng.permutation(n)][:, rng.permutation(n)]
+    return BistochasticMatrix(out)
+
+
+SAMPLE_KINDS = ("birkhoff", "haar", "sparse", "blocks", "j", "perm", "hr")
+
+
+@st.composite
+def bistochastic_inputs(draw, n_min, n_max):
+    """Birkhoff samples, phi(Haar O(n)), inputs with zero entries, and exact
+    cancellations: J_n, permutation matrices and the order-16 matrix."""
+    kind = draw(st.sampled_from(SAMPLE_KINDS))
+    if kind == "hr":
+        return hurwitz_radon_matrix(seed=draw(st.integers(0, 99)))
+    n = draw(st.integers(n_min, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "birkhoff":
+        return birkhoff_sample(n, rng)
+    if kind == "haar":
+        return phi(QMatrix.from_real(haar_orthogonal(n, rng)))
+    if kind == "sparse":
+        return _sparse_birkhoff(n, rng, draw(st.integers(1, 3)))
+    if kind == "blocks":
+        return _block_sum(n, rng)
+    if kind == "j":
+        return van_der_waerden(n)
+    return BistochasticMatrix(permutation_array(rng.permutation(n)))
+
+
+class TestSigmaMeetInTheMiddle:
+    """The meet-in-the-middle minima against the exhaustive enumeration."""
+
+    @staticmethod
+    def check(b):
+        got = sigma_pair_minima(b)
+        want = sigma_pair_minima_exhaustive(b)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        got, want = _minima(got), _minima(want)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        assert np.array_equal(got <= 1e-9, want <= 1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bistochastic_inputs(2, 16))
+    def test_matches_exhaustive(self, b):
+        self.check(b)
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_matches_exhaustive_large(self, n):
+        rng = np.random.default_rng(1000 + n)
+        generic = birkhoff_sample(n, rng)
+        self.check(generic)
+        assert not sigma_check(generic)
+        image = phi(QMatrix.from_real(haar_orthogonal(n, rng)))
+        self.check(image)
+        assert sigma_check(image)
+
+    def test_exact_cancellations(self):
+        for b in (van_der_waerden(2), van_der_waerden(6),
+                  BistochasticMatrix(np.eye(7)), hurwitz_radon_matrix(seed=0)):
+            self.check(b)
+            assert sigma_check(b)
+
+    def test_order_and_labels(self):
+        rows = sigma_pair_minima(van_der_waerden(4))
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert [r[:3] for r in rows] == ([("col", i, j) for i, j in pairs]
+                                         + [("row", i, j) for i, j in pairs])
+
+    def test_n1_has_no_pairs(self):
+        assert sigma_pair_minima(van_der_waerden(1)) == []
+        assert sigma_check(van_der_waerden(1))
+
+
+def _pattern_is_orthogonal(b, index, tol=1e-8):
+    n = b.n
+    signs = np.ones((n, n))
+    bits = (index >> np.arange((n - 1) ** 2)) & 1
+    signs[1:, 1:] = (1.0 - 2.0 * bits).reshape(n - 1, n - 1)
+    x = signs * np.sqrt(b.mat)
+    return np.max(np.abs(x.T @ x - np.eye(n))) <= tol
+
+
+class TestBruteforceCompletion:
+    """Column-by-column completion against the all-patterns tensor."""
+
+    @staticmethod
+    def check(b):
+        got = orthostochastic_bruteforce(b)
+        want = orthostochastic_bruteforce_tensor(b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.n == want.n
+            assert np.array_equal(got.signs, want.signs)
+        return got
+
+    @settings(max_examples=120, deadline=None)
+    @given(bistochastic_inputs(1, 5).filter(lambda b: b.n <= 5))
+    def test_matches_tensor(self, b):
+        self.check(b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_structured_inputs(self, n, rng):
+        inputs = [van_der_waerden(n), BistochasticMatrix(np.eye(n)),
+                  BistochasticMatrix(permutation_array(rng.permutation(n))),
+                  _block_sum(n, rng), _sparse_birkhoff(n, rng, 2)]
+        for b in inputs:
+            self.check(b)
+
+    def test_j4_picks_the_first_of_many_patterns(self):
+        j4 = van_der_waerden(4)
+        pattern = self.check(j4)
+        index = int(np.sum((pattern.signs[1:, 1:].ravel() < 0) << np.arange(9)))
+        hits = [k for k in range(1 << 9) if _pattern_is_orthogonal(j4, k)]
+        assert len(hits) > 1 and index == hits[0]
+
+    def test_n1(self):
+        pattern = orthostochastic_bruteforce(van_der_waerden(1))
+        assert isinstance(pattern, SignPattern) and pattern.n == 1
+        assert np.array_equal(pattern.signs, [[1.0]])
 
 
 class TestBruteforce:
