@@ -12,9 +12,9 @@ Usage: python scripts/h3_maximality.py [--grid N] [--conj-grid M]
 import argparse
 import math
 import time
+from types import SimpleNamespace
 
-from qstoch.mub import (_SearchState, direct_maximality_search, extend_search,
-                        one_param_h3)
+from qstoch.mub import direct_maximality_search, extend_search, one_param_h3
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     args = parser.parse_args()
 
     mubset = one_param_h3(args.s, args.t)
-    state = _SearchState()
+    state = SimpleNamespace(checked=0, near_misses=0)
     start = time.time()
     found = extend_search(mubset, args.grid, args.conj_grid, state=state)
     mid = time.time()

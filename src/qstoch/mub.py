@@ -19,7 +19,7 @@ import numpy as np
 from . import hadamard
 from .errors import (BadParams, DimensionMismatch, NotNormalized,
                      NotSymplectic, TooManyBases)
-from .qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
+from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
                       _qr_retract, fourier, gram_schmidt_columns, identity,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_matrix_text, write_qmat)
@@ -198,22 +198,60 @@ def read_mubset(text: str) -> MubSet:
 # descent on Sp(n): shared by the polish step and the direct search
 # ---------------------------------------------------------------------------
 
-def _objective(x: np.ndarray, chi_targets: np.ndarray):
-    """Smooth objective at chi(W) = x, with its gradient and the violation.
+class _ChiBuffer:
+    """A preallocated chi(W), 2n x 2n, whose odd rows are rebuilt from its
+    even rows, so the iterate stays exactly on the chi pattern."""
 
-    The objective is the sum of squared deviations of |(W* B)_ij|^2 from
-    1/n over all targets B; chi_targets = [chi(B_1) ... chi(B_T)] side by
-    side.  With G = 4 dev * (W* B) entrywise, the Euclidean gradient in the
-    4n^2 real coordinates of W is sum_t B_t G_t^*, returned in chi form.
-    The violation is max |dev|.
+    def __init__(self, n: int):
+        self.full = np.empty((2 * n, 2 * n), dtype=complex)
+        blocks = self.full.reshape(n, 2, n, 2)
+        self.even = self.full[::2]
+        self._swapped = blocks[:, 0, :, ::-1]  # (z2, z1) of every entry
+        self._odd = blocks[:, 1]  # (-conj z2, conj z1)
+
+    def rebuild(self) -> None:
+        np.conjugate(self._swapped, out=self._odd)
+        self._odd *= _ODD_ROW_SIGNS
+
+
+def _cholesky_retract(c: np.ndarray, out: _ChiBuffer) -> None:
+    """Write the Q factor of c = QR, diag(R) > 0, into out.
+
+    c^H c = R^H R, so R is the upper Cholesky factor of c^H c and Q = c R^-1:
+    the factor _qr_retract returns, at half the cost.  (chol of conj(c^H c)
+    is conj of the lower factor, so its transpose is R.)  For c = x - s g
+    with x in Sp(n) and g tangent at x, x^H g is skew, so c^H c = I +
+    s^2 g^H g has eigenvalues in [1, 1 + s^2 |g|_2^2], and that ratio, the
+    condition number of R squared, bounds the orthogonality Cholesky QR
+    loses.
+    """
+    r = np.linalg.cholesky(c.T @ c.conj()).T
+    np.matmul(c[::2], np.linalg.inv(r), out=out.even)
+    out.rebuild()
+
+
+def _deviations(x: np.ndarray, chi_targets: np.ndarray):
+    """chi(W* B) for every target at chi(W) = x, the deviations of its
+    squared entry norms from 1/n, and the objective, their sum of squares.
+
+    chi_targets = [chi(B_1) ... chi(B_T)] side by side.  The squared norms
+    are read off the float view of the even rows, which hold the entries.
     """
     n = x.shape[0] // 2
-    y = x.conj().T @ chi_targets  # [chi(W* B_1) ... chi(W* B_T)]
-    sq = y.real ** 2 + y.imag ** 2
-    dev = sq[::2].reshape(n, -1, 2).sum(axis=-1) - 1.0 / n
+    y = x.conj().T @ chi_targets
+    coords = y[::2].view(float).reshape(n, -1, 4)
+    dev = (coords * coords).sum(axis=-1) - 1.0 / n
+    flat = dev.ravel()
+    return y, dev, float(flat @ flat)
+
+
+def _gradient(y: np.ndarray, dev: np.ndarray,
+              chi_targets: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of the objective in the 4n^2 real coordinates of
+    W, in chi form: with G = 4 dev * (W* B) entrywise, sum_t B_t G_t^*."""
+    n = dev.shape[0]
     g = y.reshape(n, 2, -1, 2) * (4.0 * dev)[:, None, :, None]
-    grad = chi_targets @ g.reshape(2 * n, -1).conj().T
-    return float(np.sum(dev * dev)), grad, float(np.max(np.abs(dev)))
+    return chi_targets @ g.reshape(2 * n, -1).conj().T
 
 
 def _riemannian_grad(x: np.ndarray, euclid: np.ndarray) -> np.ndarray:
@@ -227,31 +265,37 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000,
     """Backtracking gradient descent over Sp(n) with a QR retraction.
 
     W and the targets stay in chi form for the whole descent; the result
-    converts back once, and its violation is measured on that result.
+    converts back once, and its violation is measured on that result.  A
+    trial step costs a Cholesky QR retraction and the objective; the
+    gradient and the violation are formed only at accepted points.
     """
     chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
-    x = _chi_from_rows(_qr_retract(_chi(start)))
-    value, grad, viol = _objective(x, chi_targets)
+    x, cand = _ChiBuffer(start.shape[0]), _ChiBuffer(start.shape[0])
+    x.even[...] = _qr_retract(_chi(start))
+    x.rebuild()
+    y, dev, value = _deviations(x.full, chi_targets)
     step = 0.1
     for _ in range(max_iter):
-        rgrad = _riemannian_grad(x, grad)
-        # the squared norm in the 4n^2 real coordinates of W: chi doubles it
-        gnorm2 = 0.5 * float(np.sum(rgrad.real ** 2 + rgrad.imag ** 2))
-        if gnorm2 < 1e-30 or viol <= viol_goal:
+        if np.abs(dev).max() <= viol_goal:
             break
-        moved = False
+        rgrad = _riemannian_grad(x.full, _gradient(y, dev, chi_targets))
+        # the squared norm in the 4n^2 real coordinates of W: chi doubles it
+        flat = rgrad.ravel().view(float)
+        gnorm2 = 0.5 * float(flat @ flat)
+        if gnorm2 < 1e-30:
+            break
         while step > 1e-14:
-            cand = _chi_from_rows(_qr_retract(x - step * rgrad))
-            cand_value, cand_grad, cand_viol = _objective(cand, chi_targets)
+            _cholesky_retract(x.full - step * rgrad, cand)
+            cand_y, cand_dev, cand_value = _deviations(cand.full, chi_targets)
             if cand_value <= value - 0.3 * step * gnorm2:
-                x, value, grad, viol = cand, cand_value, cand_grad, cand_viol
+                x, cand = cand, x
+                y, dev, value = cand_y, cand_dev, cand_value
                 step *= 1.5
-                moved = True
                 break
             step *= 0.5
-        if not moved:
+        else:  # no step down to 1e-14 decreased the objective
             break
-    w = _from_chi_rows(x[::2])
+    w = _from_chi_rows(x.even)
     return w, max(cross_gram_deviation(w, b) for b in targets)
 
 
@@ -337,7 +381,10 @@ def _prefilter(batch: np.ndarray, fold: np.ndarray, tol: float) -> np.ndarray:
     n = len(batch)
     inner = qconj(batch[:, :, 0, :]).reshape(n, 12) @ fold.reshape(12, -1)
     norms = np.square(inner, out=inner).reshape((n,) + fold.shape[1:]).sum(axis=1)
-    return np.abs(norms / 3.0 - 1.0 / 3.0) <= tol
+    # |norms / 3 - 1 / 3| in place: the sweep's peak memory is this function's
+    np.abs(np.subtract(np.divide(norms, 3.0, out=norms), 1.0 / 3.0, out=norms),
+           out=norms)
+    return norms <= tol
 
 
 @dataclass
@@ -402,8 +449,10 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
             cands = np.einsum("scd,sijd->sijc", transforms[xidx[lo:hi]],
                               _moved_frames(batch, nidx[lo:hi], midx[lo:hi]),
                               optimize=True) / root3
-            grams = qmat_mul(qmat_adjoint(cands), all_targets)
-            devs = np.max(np.abs(qnormsq(grams) - 1.0 / 3.0), axis=(-2, -1))
+            # no name holds the Gram products, so they are freed here and
+            # not kept alive through the next batch's prefilter
+            devs = np.max(np.abs(qnormsq(qmat_mul(qmat_adjoint(cands), all_targets))
+                                 - 1.0 / 3.0), axis=(-2, -1))
             for pos in np.flatnonzero(devs <= coarse_tol):
                 if devs[pos] <= 1e-9:
                     return QMatrix(cands[pos])

@@ -495,6 +495,8 @@ def read_matrix_text(text: str) -> tuple[str, object]:
     body = tokens[3:]
     if kind not in ("qmat", "rmat"):
         raise ValueError(f"unknown matrix header {kind!r}")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {rows} x {cols}")
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
     if kind == "qmat":

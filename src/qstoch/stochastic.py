@@ -34,7 +34,9 @@ class BistochasticMatrix:
         cols = np.abs(arr.sum(axis=0) - 1.0)
         if max(rows.max(), cols.max()) > BISTOCHASTIC_TOL:
             raise NotBistochastic("row/column sums deviate from 1 beyond tolerance")
-        arr = arr.copy()
+        # entries in [ENTRY_FLOOR, 0) are zeros up to rounding; their square
+        # roots would be NaN
+        arr = np.maximum(arr, 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 

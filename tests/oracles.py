@@ -2,11 +2,14 @@
 
 These are the direct quaternion formulations that the complex-adjoint
 kernels in qstoch.qmatrix, the folded prefilter of the H^3 extension sweep
-and the batched special 3x3 families replaced, and the exhaustive sign
+and the batched special 3x3 families replaced, the Sp(n) descent loop with
+a Householder QR retraction and a full objective at every trial step that
+the lean loop in qstoch.mub replaced, and the exhaustive sign
 enumerations that the meet-in-the-middle sigma search and the column-by-
 column pattern completion in qstoch.stochastic replaced.  They share no
-code path with those beyond the elementwise Hamilton product (and the
-generic-family generator feeding the sweep), so a defect cannot hide in a
+code path with those beyond the elementwise Hamilton product (plus the
+generic-family generator feeding the sweep, and the chi conversions and
+the start-point QR of the descent), so a defect cannot hide in a
 comparison against them.  The Birkhoff sampler used by the tests lives
 here too.
 """
@@ -16,7 +19,9 @@ import math
 import numpy as np
 
 from qstoch import hadamard
-from qstoch.qmatrix import qconj, qmul, qnormsq
+from qstoch.mub import cross_gram_deviation
+from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
+                            qconj, qmul, qnormsq)
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array)
 
@@ -45,6 +50,60 @@ def gram_schmidt_loop(arr: np.ndarray, passes: int = 2) -> np.ndarray:
             nrm = np.sqrt(qnormsq(a[:, j, :]).sum())
             a[:, j, :] /= nrm
     return a
+
+
+# ---------------------------------------------------------------------------
+# the Sp(n) descent with a Householder QR retraction
+# ---------------------------------------------------------------------------
+
+
+def descent_objective(x: np.ndarray, chi_targets: np.ndarray):
+    """Objective at chi(W) = x, its chi-form Euclidean gradient and the
+    violation max |dev|, all from one pass over chi(W* B_t)."""
+    n = x.shape[0] // 2
+    y = x.conj().T @ chi_targets
+    sq = y.real ** 2 + y.imag ** 2
+    dev = sq[::2].reshape(n, -1, 2).sum(axis=-1) - 1.0 / n
+    g = y.reshape(n, 2, -1, 2) * (4.0 * dev)[:, None, :, None]
+    grad = chi_targets @ g.reshape(2 * n, -1).conj().T
+    return float(np.sum(dev * dev)), grad, float(np.max(np.abs(dev)))
+
+
+def descend_qr(start: np.ndarray, targets, max_iter: int = 2000,
+               viol_goal: float = 1e-10, trials: list | None = None):
+    """Backtracking descent over Sp(n) that retracts every trial step by
+    Householder QR and evaluates the objective with its gradient there.
+
+    trials, when given, receives (value, armijo_bound) for each trial step
+    in order; the step is accepted when value <= armijo_bound.
+    """
+    chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
+    x = _chi_from_rows(_qr_retract(_chi(start)))
+    value, grad, viol = descent_objective(x, chi_targets)
+    step = 0.1
+    for _ in range(max_iter):
+        xg = x.conj().T @ grad
+        rgrad = grad - x @ (0.5 * (xg + xg.conj().T))
+        gnorm2 = 0.5 * float(np.sum(rgrad.real ** 2 + rgrad.imag ** 2))
+        if gnorm2 < 1e-30 or viol <= viol_goal:
+            break
+        moved = False
+        while step > 1e-14:
+            cand = _chi_from_rows(_qr_retract(x - step * rgrad))
+            cand_value, cand_grad, cand_viol = descent_objective(cand, chi_targets)
+            bound = value - 0.3 * step * gnorm2
+            if trials is not None:
+                trials.append((cand_value, bound))
+            if cand_value <= bound:
+                x, value, grad, viol = cand, cand_value, cand_grad, cand_viol
+                step *= 1.5
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+    w = _from_chi_rows(x[::2])
+    return w, max(cross_gram_deviation(w, b) for b in targets)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,19 @@ class TestStochasticCommands:
         assert capsys.readouterr().out == "kind,i,j,min_abs\n"
         assert main(["bruteforce-ortho", str(path)]) == 0
         assert capsys.readouterr().out == "rmat 1 1\n1\n"
+
+    def test_entries_within_the_floor_count_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "near_eye.rmat"
+        path.write_text("rmat 2 2\n1.0000000000001 -1e-13\n-1e-13 1.0000000000001\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sigma", str(path)]) == 0
+            assert capsys.readouterr().out == "sigma=true pairs=2\n"
+            assert main(["--format", "csv", "sigma", str(path)]) == 0
+            assert capsys.readouterr().out == "kind,i,j,min_abs\ncol,0,1,0\nrow,0,1,0\n"
+            assert main(["bruteforce-ortho", str(path)]) == 0
+            assert capsys.readouterr().out == "rmat 2 2\n1 1\n1 1\n"
+        assert capsys.readouterr().err == ""
 
     def test_hurwitz_radon(self, capsys):
         assert main(["hurwitz-radon", "--seed", "0"]) == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import descend_qr, descent_objective
 
 from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
@@ -11,8 +12,10 @@ from qstoch.mub import (MubSet, complete_mub_h2, cross_gram_deviation,
                         one_param_h3, operator_frame_orthogonality,
                         read_mubset, read_mubset_matrices, three_param_h3,
                         write_mubset)
-from qstoch.qmatrix import (QMatrix, _chi, _from_chi_rows, diag, fourier,
-                            identity, permutation_matrix, random_symplectic,
+from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
+                            _qr_retract, diag, fourier, gram_schmidt_columns,
+                            identity, permutation_matrix,
+                            random_quaternion_array, random_symplectic,
                             write_qmat)
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
@@ -167,10 +170,10 @@ class TestDescentKernel:
         w = random_symplectic(3, seed=21).data
 
         def value(v):
-            return mub._objective(_chi(v), chi_targets)[0]
+            return mub._deviations(_chi(v), chi_targets)[2]
 
-        _, grad, _ = mub._objective(_chi(w), chi_targets)
-        grad = _from_chi_rows(grad[::2])
+        y, dev, _ = mub._deviations(_chi(w), chi_targets)
+        grad = _from_chi_rows(mub._gradient(y, dev, chi_targets)[::2])
         h = 1e-6
         numeric = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
@@ -182,17 +185,42 @@ class TestDescentKernel:
     def test_objective_violation_matches_cross_gram_deviation(self):
         s = one_param_h3(R32, 0.0)
         w = random_symplectic(3, seed=22).data
-        _, _, viol = mub._objective(_chi(w), self._chi_targets(s))
+        _, dev, _ = mub._deviations(_chi(w), self._chi_targets(s))
         want = max(cross_gram_deviation(w, b.data) for b in s.bases)
-        assert viol == pytest.approx(want, abs=1e-14)
+        assert np.max(np.abs(dev)) == pytest.approx(want, abs=1e-14)
+
+    def test_objective_and_gradient_match_one_pass_objective(self):
+        s = three_param_h3(*(cube_root(2 * math.pi * k / 3) for k in range(3)))
+        chi_targets = self._chi_targets(s)
+        x = _chi(random_symplectic(3, seed=24).data)
+        y, dev, value = mub._deviations(x, chi_targets)
+        want_value, want_grad, want_viol = descent_objective(x, chi_targets)
+        assert value == pytest.approx(want_value, rel=1e-14)
+        assert np.max(np.abs(dev)) == pytest.approx(want_viol, rel=1e-14)
+        assert np.max(np.abs(mub._gradient(y, dev, chi_targets) - want_grad)) < 1e-14
 
     def test_riemannian_gradient_is_tangent(self):
         s = one_param_h3(0.0, R32)
         x = _chi(random_symplectic(3, seed=23).data)
-        _, grad, _ = mub._objective(x, self._chi_targets(s))
-        rgrad = mub._riemannian_grad(x, grad)
+        y, dev, _ = mub._deviations(x, self._chi_targets(s))
+        rgrad = mub._riemannian_grad(x, mub._gradient(y, dev, self._chi_targets(s)))
         skew = x.conj().T @ rgrad
         assert np.max(np.abs(skew + skew.conj().T)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("size", [1e-3, 0.63, 10.0])
+    def test_cholesky_retraction_matches_qr(self, n, size):
+        # size is s |g|_2 for the trial point c = x - s g, g tangent at x;
+        # the descent stays below 0.5 on the H^2 and H^3 sets
+        rng = np.random.default_rng(n)
+        x = _chi(random_symplectic(n, seed=n).data)
+        g = mub._riemannian_grad(x, _chi(rng.standard_normal((n, n, 4))))
+        c = x - size * g / np.linalg.norm(g, 2)
+        out = mub._ChiBuffer(n)
+        mub._cholesky_retract(c, out)
+        assert np.max(np.abs(out.even - _qr_retract(c))) < 1e-13
+        assert np.array_equal(out.full, _chi_from_rows(out.even))
+        assert np.max(np.abs(out.full.conj().T @ out.full - np.eye(2 * n))) < 1e-13
 
     def test_long_descent_matches_gram_schmidt_descent(self):
         # this restart runs to the 2000-iteration cap.  Descending with a
@@ -203,6 +231,63 @@ class TestDescentKernel:
         viol, w = direct_maximality_search(s, restarts=1, seed=0)
         assert viol == pytest.approx(0.11320497646536, abs=1e-9)
         assert w.is_symplectic(1e-12)
+
+
+DESCENT_SETS = {
+    "one_param": lambda: one_param_h3(0.0, R32),
+    "three_param": lambda: three_param_h3(
+        *(cube_root(2 * math.pi * k / 3) for k in range(3))),
+    "pair": lambda: MubSet(3, (identity(3), fourier(3))),
+    "complete_h2": complete_mub_h2,
+}
+
+
+def _lean_descent(monkeypatch, start, targets, max_iter):
+    """mub._descend's result and the objective at each of its trial steps."""
+    values = []
+    deviations = mub._deviations
+
+    def record(x, chi_targets):
+        out = deviations(x, chi_targets)
+        values.append(out[2])
+        return out
+
+    monkeypatch.setattr(mub, "_deviations", record)
+    w, _ = mub._descend(start, targets, max_iter=max_iter)
+    return w, values[1:]  # values[0] is the start
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_SETS))
+@pytest.mark.parametrize("restart", range(3))
+def test_short_descent_matches_qr_descent(monkeypatch, name, restart):
+    s = DESCENT_SETS[name]()
+    targets = [b.data for b in s.bases]
+    rng = np.random.default_rng(restart)  # direct_maximality_search's, seed 0
+    start = gram_schmidt_columns(random_quaternion_array((s.n, s.n), rng))
+    trials = []
+    w_ref, _ = descend_qr(start, targets, max_iter=60, trials=trials)
+    w, values = _lean_descent(monkeypatch, start, targets, 60)
+    ref = [v for v, _ in trials]
+    # Each trial value fixes the step it was taken with, so equal values
+    # mean equal Armijo decisions and equal steps.  Once the objective sits
+    # on its floor, the decisions compare last bits and rounding settles
+    # them; the complete H^2 set is on its floor, 1, everywhere on Sp(2).
+    floor = min(ref + values, default=np.inf)
+    firm = next((k for k, v in enumerate(ref) if v <= floor + 1e-12), len(ref))
+    k = min(firm + 1, len(ref))
+    assert len(values) >= k
+    assert np.max(np.abs(np.subtract(values[:k], ref[:k])), initial=0.0) < 1e-12
+    if name == "complete_h2":
+        assert np.max(np.abs(np.subtract(ref + values, 1.0)), initial=0.0) < 1e-12
+    else:
+        assert firm >= 20
+    if name == "one_param":
+        # its minimizers form a continuum: rounding moves the end along it
+        chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
+        for end in (w, w_ref):
+            assert descent_objective(_chi(end), chi_targets)[0] < floor + 1e-12
+    else:
+        assert np.max(np.abs(w - w_ref)) < 1e-12
 
 
 class TestSearches:

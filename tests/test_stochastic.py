@@ -39,6 +39,18 @@ class TestBistochasticType:
         with pytest.raises(NotBistochastic):
             BistochasticMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))
 
+    def test_entries_within_the_floor_become_zero(self):
+        # the identity up to rounding: -1e-13 passes the -1e-12 entry floor,
+        # and a NaN square root of it used to fail sigma and the brute force
+        near = np.array([[1.0000000000001, -1e-13], [-1e-13, 1.0000000000001]])
+        b = BistochasticMatrix(near)
+        assert np.array_equal(b.mat, np.where(near < 0, 0.0, near))
+        with np.errstate(invalid="raise"):
+            assert [m for *_, m in sigma_pair_minima(b)] == [0.0, 0.0]
+            assert np.array_equal(orthostochastic_bruteforce(b).signs, np.ones((2, 2)))
+        with pytest.raises(NotBistochastic):
+            BistochasticMatrix(np.array([[1.0 + 2e-12, -2e-12], [-2e-12, 1.0 + 2e-12]]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
         with pytest.raises(NotBistochastic):
