@@ -11,8 +11,8 @@ Fourier matrix.  The 3x3 matrices share the frame
 with z = -1/2 + s*i + t*j on the circle s^2 + t^2 = 3/4; such a frame is
 automatically Hadamard, and the families pin down which (a, b, z) are also
 unbiased to the Fourier matrix.  Array-valued builders (suffix _arr) power
-the grid sweeps in the MUB search; family3_matrix, p_value and special3 are
-their one-row case.
+the grid sweeps in the MUB search; family3_matrix, p_value, generic3 and
+special3 are their one-row case.
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
 
 FAMILY_IDS = ("generic", "s1", "s2", "s3", "s4", "s5")
 
-
-def zeta_from_angle(theta: float) -> Quaternion:
-    return Quaternion(-0.5, R32 * math.cos(theta), R32 * math.sin(theta), 0.0)
-
-
-def circle_point(theta: float) -> tuple[float, float]:
-    return R32 * math.cos(theta), R32 * math.sin(theta)
+# |p(a, s, t)| at or below this marks the stratum where a special family
+# takes over from the generic one
+P_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -124,67 +120,6 @@ def p_value(a: Quaternion, s: float, t: float) -> float:
     return float(p_arr(a.as_array(), s, t))
 
 
-def alpha_coeffs(a: Quaternion) -> tuple[float, float, float]:
-    # not alphas_arr: Python's x ** 2 (libm pow) and numpy's x * x differ in
-    # the last bit for about 1 input in 1000, enough to move generic3's root
-    a1, a2, a3, a4 = a.w, a.x, a.y, a.z
-    alpha0 = 1 - a1 + 4 * a1 * a2 ** 2 + 2 * a1 * a4 ** 2 + 2 * a2 * a3 * a4 \
-        - 2 * a3 ** 2 - 2 * a4 ** 2
-    alpha1 = a1 ** 2 * a4 - a2 ** 2 * a4 + 2 * a1 * a2 * a3 - a1 * a4 + a2 * a3
-    alpha2 = 1 - a1 + 4 * a1 * a2 ** 2 + 4 * a1 * a3 ** 2 - 2 * a1 * a4 ** 2 \
-        - 6 * a2 * a3 * a4
-    return alpha0, alpha1, alpha2
-
-
-def phi_value(a: Quaternion, s: float, t: float) -> float:
-    """4 alpha0 s^2 + 8 alpha1 s t + alpha2; vanishing selects the generic family."""
-    alpha0, alpha1, alpha2 = alpha_coeffs(a)
-    return 4 * alpha0 * s * s + 8 * alpha1 * s * t + alpha2
-
-
-_BASIS = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
-          Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
-
-
-def _qpow3(q: Quaternion, k: int) -> Quaternion:
-    out = ONE
-    for _ in range(k % 3):
-        out = out * q
-    return out
-
-
-def unbiased_system(a: Quaternion, s: float, t: float):
-    """Linear system B b = v expressing unbiasedness to the Fourier matrix.
-
-    The four equations are <1 + w^-i a z^j, 1 + w^i b z^-j> = 1 for
-    i, j in {0,1}, written with the real inner product <p,q> = Re(conj(p) q).
-    Rows are ordered (0,0),(0,1),(1,0),(1,1); with this order the five
-    signed determinants d_i of the augmented matrix (drop column i) satisfy
-    d5 = 3 p(a,s,t)^2 and 8(sum d_i^2 - d5^2) = 9 d5 phi(a,s,t).
-    """
-    if abs(a.norm() - 1.0) > 1e-9:
-        raise BadParams("a must be a unit quaternion")
-    if abs(s * s + t * t - 0.75) > 1e-9:
-        raise BadParams("(s, t) must satisfy s^2 + t^2 = 3/4")
-    zeta = Quaternion(-0.5, s, t, 0.0)
-    abar = a.conjugate()
-    b_mat = np.zeros((4, 4))
-    v = np.zeros(4)
-    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        wi = _qpow3(OMEGA, i)
-        w2i = _qpow3(OMEGA, 2 * i)
-        wmi = _qpow3(OMEGA, -i)
-        zj = _qpow3(zeta, j)
-        zmj = _qpow3(zeta, -j)
-        for m in range(4):
-            e = _BASIS[m]
-            b_mat[r, m] = (wi * e * zmj).w + (zmj * abar * w2i * e * zmj).w
-        v[r] = -(wmi * a * zj).w
-    aug = np.hstack([b_mat, v[:, None]])
-    dets = tuple(float(np.linalg.det(np.delete(aug, i, axis=1))) for i in range(5))
-    return b_mat, v, dets
-
-
 def family3_matrix(a: Quaternion, b: Quaternion, zeta: Quaternion) -> QMatrix:
     """The shared 3x3 Hadamard frame for the six families."""
     return QMatrix(family3_matrix_arr(a.as_array(), b.as_array(),
@@ -195,81 +130,31 @@ def family3_matrix(a: Quaternion, b: Quaternion, zeta: Quaternion) -> QMatrix:
 # generic 3x3 family
 # ---------------------------------------------------------------------------
 
-_SCAN_POINTS = 720
-
-
-def _phi_of_theta(a: Quaternion, theta: float) -> float:
-    s, t = circle_point(theta)
-    return phi_value(a, s, t)
-
-
-def phi_circle_roots_scan(a: Quaternion) -> list[float]:
-    """Roots of phi on the (s,t) circle by bracketing a 720-point scan of the
-    angle and bisecting each sign change."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, _SCAN_POINTS + 1)
-    values = np.array([_phi_of_theta(a, th) for th in thetas])
-    roots: list[float] = []
-    for k in range(_SCAN_POINTS):
-        lo, hi = thetas[k], thetas[k + 1]
-        flo, fhi = values[k], values[k + 1]
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if (flo < 0.0) == (fhi < 0.0):
-            continue
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            fm = _phi_of_theta(a, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0.0) == (flo < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    deduped: list[float] = []
-    for r in roots:
-        if all(abs(r - d) > 1e-9 for d in deduped):
-            deduped.append(r)
-    return deduped
-
-
-def solve_b(a: Quaternion, s: float, t: float) -> Quaternion:
-    """Phase vector of the third row, by Cramer's rule with validated signs.
-
-    With d_i the determinants of unbiased_system, b_m = (-1)^(m+1) d_m / d5
-    (0-based m).  Falls back to a direct solve if the residual check fails.
-    """
-    b_mat, v, dets = unbiased_system(a, s, t)
-    d5 = dets[4]
-    if abs(d5) < 1e-14:
-        raise DegenerateP("system determinant vanishes")
-    coords = np.array([(-1) ** (m + 1) * dets[m] / d5 for m in range(4)])
-    if (abs(np.linalg.norm(coords) - 1.0) > 1e-7
-            or np.linalg.norm(b_mat @ coords - v) > 1e-9):
-        coords = np.linalg.solve(b_mat, v)
-    return Quaternion(*coords)
-
 
 def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
-    """Member of the generic family above a: solve phi(a,s,t) = 0 on the
-    circle, then the third-row phases by Cramer.  Returns None when phi has
-    no root for this a; raises DegenerateP when p vanishes at the root (one
-    of the special families covers that stratum)."""
+    """Member of the generic family above a: the roots of phi(a,s,t) = 0 on
+    the circle in ascending angle, '+' taking the first and '-' the second,
+    then the third-row phases from the unbiasedness system.  Returns None
+    when phi has no root for this a; raises DegenerateP when phi vanishes on
+    the whole circle or p vanishes at the root (one of the special families
+    covers that stratum).  This is the one-row case of generic3_arr."""
     if abs(a.norm() - 1.0) > 1e-9:
         raise BadParams("a must be a unit quaternion")
     if branch not in ("+", "-"):
         raise BadParams("branch must be '+' or '-'")
-    roots = phi_circle_roots_scan(a)
-    if not roots:
+    arr = a.as_array()[None, :]
+    thetas, valid = phi_circle_roots_arr(arr)
+    if not valid.any():
+        if not np.any(alphas_arr(arr)):
+            raise DegenerateP("phi vanishes on the whole circle")
         return None
+    roots = np.sort(thetas[valid])
+    roots = roots[np.diff(roots, prepend=-1.0) > 1e-9]
     theta = roots[0] if branch == "+" or len(roots) == 1 else roots[1]
-    s, t = circle_point(theta)
-    if abs(p_value(a, s, t)) <= 1e-6:
+    frames, ok = generic3_arr(arr, np.array([theta]))
+    if not ok[0]:
         raise DegenerateP("p(a,s,t) vanishes at the selected root")
-    b = solve_b(a, s, t)
-    return family3_matrix(a, b, Quaternion(-0.5, s, t, 0.0))
+    return QMatrix(frames[0])
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +296,6 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family3Params:
-    """Parameters read off a 3x3 family-frame matrix."""
-
-    family_id: str
-    a: Quaternion
-    b: Quaternion
-    s: float
-    t: float
-
-
 def read_family3(m: QMatrix) -> tuple[Quaternion, Quaternion, Quaternion]:
     """(a, b, zeta) read from the frame: a = M21, b = M31, zeta = conj(a) M22."""
     if m.rows != 3 or m.cols != 3:
@@ -430,11 +304,6 @@ def read_family3(m: QMatrix) -> tuple[Quaternion, Quaternion, Quaternion]:
     b = m.entry(2, 0)
     zeta = a.conjugate() * m.entry(1, 1)
     return a, b, zeta
-
-
-def read_family3_params(m: QMatrix, family_id: str) -> Family3Params:
-    a, b, zeta = read_family3(m)
-    return Family3Params(family_id, a, b, zeta.x, zeta.y)
 
 
 def _frame_residual(m: QMatrix, a: Quaternion, b: Quaternion,
@@ -449,8 +318,7 @@ def verify_family3(m: QMatrix, family_id: str, tol: float = 1e-9) -> bool:
     if family_id not in FAMILY_IDS:
         raise BadParams(f"unknown family {family_id!r}")
     a, b, zeta = read_family3(m)
-    params = Family3Params(family_id, a, b, zeta.x, zeta.y)
-    s, t = params.s, params.t
+    s, t = zeta.x, zeta.y
     checks = [
         abs(a.norm() - 1.0), abs(b.norm() - 1.0), abs(zeta.norm() - 1.0),
         abs(zeta.w + 0.5), abs(zeta.z),
@@ -460,10 +328,11 @@ def verify_family3(m: QMatrix, family_id: str, tol: float = 1e-9) -> bool:
         return False
     pv = p_value(a, s, t)
     if family_id == "generic":
-        b_mat, v, _ = unbiased_system(a, s, t)
-        residuals = [abs(phi_value(a, s, t)),
+        alpha0, alpha1, alpha2 = alphas_arr(a.as_array())
+        b_mat, v = mub3_system_arr(a.as_array(), zeta.as_array())
+        residuals = [abs(4 * alpha0 * s * s + 8 * alpha1 * s * t + alpha2),
                      float(np.linalg.norm(b_mat @ b.as_array() - v))]
-        return max(residuals) <= tol and abs(pv) > 1e-6
+        return max(residuals) <= tol and abs(pv) > P_FLOOR
     if family_id == "s1":
         residuals = [(a - ONE).norm(), abs(b.w + 0.5), abs(b.z)]
     elif family_id == "s2":
@@ -539,63 +408,49 @@ def phi_circle_roots_arr(a: np.ndarray):
     return thetas, valid
 
 
+_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+_W = OMEGA.as_array()
+_W2 = (OMEGA * OMEGA).as_array()
+
+
 def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
-    """Batched unbiasedness system: (N,4,4) matrices and (N,4) right sides."""
-    n = a.shape[0]
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    omega = OMEGA.as_array()
-    b_mat = np.zeros((n, 4, 4))
-    v = np.zeros((n, 4))
+    """Linear system B b = v expressing unbiasedness to the Fourier matrix,
+    for (...,4) arrays a and zeta: (...,4,4) matrices and (...,4) sides.
+
+    The four equations are <1 + w^-i a z^j, 1 + w^i b z^-j> = 1 for
+    i, j in {0,1}, written with the real inner product <p,q> = Re(conj(p) q).
+    Since Re(x e_m y) = s_m (y x)_m with s = (1,-1,-1,-1), row (i,j) of B is
+    s * (z^-j (w^i + z^-j conj(a) w^2i)) and v = -Re(w^-i a z^j), where
+    z^-1 = z^2 as z^3 = 1.  Rows are ordered (0,0),(0,1),(1,0),(1,1); with
+    this order the five signed determinants d_i of the augmented matrix
+    (drop column i) satisfy d5 = 3 p(a,s,t)^2 and
+    8(sum d_i^2 - d5^2) = 9 d5 phi(a,s,t).
+    """
     abar = qconj(a)
     zeta2 = qmul(zeta, zeta)
-    w_pows = [one, omega, qmul(omega, omega)]
-    z_pows = [np.broadcast_to(one, a.shape), zeta, zeta2]
-    basis = np.eye(4)
-    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        wi = w_pows[i % 3]
-        w2i = w_pows[(2 * i) % 3]
-        wmi = w_pows[(-i) % 3]
-        zj = z_pows[j % 3]
-        zmj = z_pows[(-j) % 3]
-        pre = qmul(zmj, qmul(abar, w2i))
-        for m in range(4):
-            e = basis[m]
-            b_mat[:, r, m] = qmul(wi, qmul(e, zmj))[:, 0] \
-                + qmul(pre, qmul(e, zmj))[:, 0]
-        v[:, r] = -qmul(wmi, qmul(a, zj))[:, 0]
-    return b_mat, v
+    abar_w2 = qmul(abar, _W2)
+    rows = [_ONE + abar, qmul(zeta2, _ONE + qmul(zeta2, abar)),
+            _W + abar_w2, qmul(zeta2, _W + qmul(zeta2, abar_w2))]
+    az = qmul(a, zeta)
+    re_w2 = _SIGNS * _W2  # q @ re_w2 = Re(w^2 q) = Re(w^-1 q)
+    v = -np.stack([a[..., 0], az[..., 0], a @ re_w2, az @ re_w2], axis=-1)
+    return _SIGNS * np.stack(rows, axis=-2), v
 
 
-def system_dets_arr(a: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """The five drop-a-column determinants of the augmented system, (N,5)."""
-    b_mat, v = mub3_system_arr(a, zeta)
-    aug = np.concatenate([b_mat, v[:, :, None]], axis=2)
-    dets = np.empty((a.shape[0], 5))
-    for i in range(5):
-        cols = [c for c in range(5) if c != i]
-        dets[:, i] = np.linalg.det(aug[:, :, cols])
-    return dets
-
-
-def family3_matrix_arr(a: np.ndarray, b: np.ndarray, zeta: np.ndarray,
-                       zeta2: np.ndarray | None = None) -> np.ndarray:
-    """Family frames for (...,4) arrays a, b and zeta, shape (...,3,3,4).
-    The zeta^2 entries are a*zeta2 and b*zeta2 when zeta2 = zeta*zeta is
-    given (the generic sweep), else (a*zeta)*zeta and (b*zeta)*zeta (the
-    constructors); the two round differently in the last bit."""
+def family3_matrix_arr(a: np.ndarray, b: np.ndarray,
+                       zeta: np.ndarray) -> np.ndarray:
+    """Family frames for (...,4) arrays a, b and zeta, shape (...,3,3,4);
+    the zeta^2 entries are (a*zeta)*zeta and (b*zeta)*zeta."""
     lead = np.broadcast_shapes(a.shape, b.shape, zeta.shape)[:-1]
     out = np.empty(lead + (3, 3, 4))
     out[..., 0, :, :] = [1.0, 0.0, 0.0, 0.0]
     out[..., 1, 0, :] = a
     out[..., 1, 1, :] = qmul(a, zeta)
+    out[..., 1, 2, :] = qmul(out[..., 1, 1, :], zeta)
     out[..., 2, 0, :] = b
     out[..., 2, 2, :] = qmul(b, zeta)
-    if zeta2 is None:
-        out[..., 1, 2, :] = qmul(out[..., 1, 1, :], zeta)
-        out[..., 2, 1, :] = qmul(out[..., 2, 2, :], zeta)
-    else:
-        out[..., 1, 2, :] = qmul(a, zeta2)
-        out[..., 2, 1, :] = qmul(b, zeta2)
+    out[..., 2, 1, :] = qmul(out[..., 2, 2, :], zeta)
     return out
 
 
@@ -607,13 +462,27 @@ def _zeta_arr(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def generic_family_chunks(resolution: int, chunk_size: int = 8192,
-                          p_floor: float = 1e-6):
+def generic3_arr(a: np.ndarray, theta: np.ndarray):
+    """Members of the generic family for base points a (N,4) and roots
+    theta (N,) of phi on the circle: zeta = -1/2 + (sqrt3/2)(cos theta i +
+    sin theta j), and the third row b solves the unbiasedness system.
+    Returns the (M,3,3,4) frames of the rows where |p| > P_FLOOR, and that
+    (N,) mask; past the floor the system determinant d5 = 3 p^2 is nonzero.
+    """
+    zeta = _zeta_arr(theta)
+    ok = np.abs(p_arr(a, zeta[:, 1], zeta[:, 2])) > P_FLOOR
+    a, zeta = a[ok], zeta[ok]
+    b_mat, v = mub3_system_arr(a, zeta)
+    b = np.linalg.solve(b_mat, v[:, :, None])[:, :, 0]
+    return family3_matrix_arr(a, b, zeta), ok
+
+
+def generic_family_chunks(resolution: int, chunk_size: int = 8192):
     """Yield (N,3,3,4) batches sweeping the generic family.
 
     The base point a runs over a resolution^3 Euler grid on the unit
     3-sphere (offset to avoid poles); each grid point contributes its
-    analytic phi roots with p bounded away from zero.
+    analytic phi roots with p above P_FLOOR.
     """
     res = int(resolution)
     chi = (np.arange(res) + 0.5) * np.pi / res
@@ -630,24 +499,10 @@ def generic_family_chunks(resolution: int, chunk_size: int = 8192,
             np.sin(c1) * np.sin(e1) * np.sin(x1),
         ], axis=1)
         thetas, valid = phi_circle_roots_arr(a)
-        a_rep = np.repeat(a, 4, axis=0)
-        th_flat = thetas.reshape(-1)
-        mask = valid.reshape(-1)
-        s = R32 * np.cos(th_flat)
-        t = R32 * np.sin(th_flat)
-        mask &= np.abs(p_arr(a_rep, s, t)) > p_floor
-        if not mask.any():
-            continue
-        a_sel = a_rep[mask]
-        zeta = _zeta_arr(th_flat[mask])
-        b_mat, v = mub3_system_arr(a_sel, zeta)
-        det = np.linalg.det(b_mat)
-        solvable = np.abs(det) > 1e-12
-        if not solvable.any():
-            continue
-        a_sel, zeta = a_sel[solvable], zeta[solvable]
-        b = np.linalg.solve(b_mat[solvable], v[solvable][:, :, None])[:, :, 0]
-        yield family3_matrix_arr(a_sel, b, zeta, qmul(zeta, zeta))
+        frames, _ = generic3_arr(np.repeat(a, 4, axis=0)[valid.ravel()],
+                                 thetas[valid])
+        if len(frames):
+            yield frames
 
 
 def special_family_points(family_id: str, resolution: int) -> np.ndarray:

@@ -131,7 +131,6 @@ class Quaternion:
         return format_quaternion(self)
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

@@ -2,7 +2,10 @@
 
 These are the direct quaternion formulations that the complex-adjoint
 kernels in qstoch.qmatrix, the folded prefilter of the H^3 extension sweep
-and the batched special 3x3 families replaced, the Sp(n) descent loop with
+and the batched 3x3 families replaced, the scalar generic 3x3 family (a
+scan for the roots of phi, the unbiasedness system one basis quaternion at
+a time, Cramer's rule) and the broadcast form of that system that the
+closed form in qstoch.hadamard replaced, the Sp(n) descent loop with
 a Householder QR retraction and a full objective at every trial step that
 the lean loop in qstoch.mub replaced, and the exhaustive sign
 enumerations that the meet-in-the-middle sigma search and the column-by-
@@ -19,9 +22,11 @@ import math
 import numpy as np
 
 from qstoch import hadamard
+from qstoch.errors import BadParams, DegenerateP
 from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
                             qconj, qmul, qnormsq)
+from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array)
 
@@ -294,6 +299,184 @@ def special_family_points_loop(family_id: str, resolution: int) -> np.ndarray:
     frames = [special3_scalar(family_id, prm, v) for v, prm in combos]
     frames = [f for f in frames if f is not None]
     return np.array(frames).reshape(-1, 3, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# the generic 3x3 family, one member at a time
+# ---------------------------------------------------------------------------
+
+OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
+
+
+def circle_point(theta: float) -> tuple[float, float]:
+    return R32 * math.cos(theta), R32 * math.sin(theta)
+
+
+def alpha_coeffs(a: Quaternion) -> tuple[float, float, float]:
+    a1, a2, a3, a4 = a.w, a.x, a.y, a.z
+    alpha0 = 1 - a1 + 4 * a1 * a2 ** 2 + 2 * a1 * a4 ** 2 + 2 * a2 * a3 * a4 \
+        - 2 * a3 ** 2 - 2 * a4 ** 2
+    alpha1 = a1 ** 2 * a4 - a2 ** 2 * a4 + 2 * a1 * a2 * a3 - a1 * a4 + a2 * a3
+    alpha2 = 1 - a1 + 4 * a1 * a2 ** 2 + 4 * a1 * a3 ** 2 - 2 * a1 * a4 ** 2 \
+        - 6 * a2 * a3 * a4
+    return alpha0, alpha1, alpha2
+
+
+def phi_value(a: Quaternion, s: float, t: float) -> float:
+    """4 alpha0 s^2 + 8 alpha1 s t + alpha2; vanishing selects the generic family."""
+    alpha0, alpha1, alpha2 = alpha_coeffs(a)
+    return 4 * alpha0 * s * s + 8 * alpha1 * s * t + alpha2
+
+
+_BASIS = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+          Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
+
+
+def _qpow3(q: Quaternion, k: int) -> Quaternion:
+    out = ONE
+    for _ in range(k % 3):
+        out = out * q
+    return out
+
+
+def unbiased_system(a: Quaternion, s: float, t: float):
+    """The system B b = v of hadamard.mub3_system_arr, one entry at a time
+    as <1 + w^-i a z^j, 1 + w^i b z^-j> with b = e_m, plus the five signed
+    determinants d_i of the augmented matrix (drop column i)."""
+    if abs(a.norm() - 1.0) > 1e-9:
+        raise BadParams("a must be a unit quaternion")
+    if abs(s * s + t * t - 0.75) > 1e-9:
+        raise BadParams("(s, t) must satisfy s^2 + t^2 = 3/4")
+    zeta = Quaternion(-0.5, s, t, 0.0)
+    abar = a.conjugate()
+    b_mat = np.zeros((4, 4))
+    v = np.zeros(4)
+    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        wi = _qpow3(OMEGA, i)
+        w2i = _qpow3(OMEGA, 2 * i)
+        wmi = _qpow3(OMEGA, -i)
+        zj = _qpow3(zeta, j)
+        zmj = _qpow3(zeta, -j)
+        for m in range(4):
+            e = _BASIS[m]
+            b_mat[r, m] = (wi * e * zmj).w + (zmj * abar * w2i * e * zmj).w
+        v[r] = -(wmi * a * zj).w
+    aug = np.hstack([b_mat, v[:, None]])
+    dets = tuple(float(np.linalg.det(np.delete(aug, i, axis=1))) for i in range(5))
+    return b_mat, v, dets
+
+
+_SCAN_POINTS = 720
+
+
+def _phi_of_theta(a: Quaternion, theta: float) -> float:
+    s, t = circle_point(theta)
+    return phi_value(a, s, t)
+
+
+def phi_circle_roots_scan(a: Quaternion) -> list[float]:
+    """Roots of phi on the (s,t) circle by bracketing a 720-point scan of the
+    angle and bisecting each sign change."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, _SCAN_POINTS + 1)
+    values = phi_value(a, R32 * np.cos(thetas), R32 * np.sin(thetas)).tolist()
+    thetas = thetas.tolist()
+    roots: list[float] = []
+    for k in range(_SCAN_POINTS):
+        lo, hi = thetas[k], thetas[k + 1]
+        flo, fhi = values[k], values[k + 1]
+        if flo == 0.0:
+            roots.append(lo)
+            continue
+        if (flo < 0.0) == (fhi < 0.0):
+            continue
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            fm = _phi_of_theta(a, mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm < 0.0) == (flo < 0.0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    deduped: list[float] = []
+    for r in roots:
+        if all(abs(r - d) > 1e-9 for d in deduped):
+            deduped.append(r)
+    return deduped
+
+
+def solve_b(a: Quaternion, s: float, t: float) -> Quaternion:
+    """Phase vector of the third row, by Cramer's rule with validated signs.
+
+    With d_i the determinants of unbiased_system, b_m = (-1)^(m+1) d_m / d5
+    (0-based m).  Falls back to a direct solve if the residual check fails.
+    """
+    b_mat, v, dets = unbiased_system(a, s, t)
+    d5 = dets[4]
+    if abs(d5) < 1e-14:
+        raise DegenerateP("system determinant vanishes")
+    coords = np.array([(-1) ** (m + 1) * dets[m] / d5 for m in range(4)])
+    if (abs(np.linalg.norm(coords) - 1.0) > 1e-7
+            or np.linalg.norm(b_mat @ coords - v) > 1e-9):
+        coords = np.linalg.solve(b_mat, v)
+    return Quaternion(*coords)
+
+
+def generic3_scan(a: Quaternion, branch: str = "+",
+                  roots: list[float] | None = None):
+    """hadamard.generic3 by the scan and Cramer's rule: the (3,3,4) frame,
+    None when phi has no root, DegenerateP when p vanishes at the root.
+    roots, when given, are phi_circle_roots_scan(a) computed once."""
+    if roots is None:
+        roots = phi_circle_roots_scan(a)
+    if not roots:
+        return None
+    theta = roots[0] if branch == "+" or len(roots) == 1 else roots[1]
+    s, t = circle_point(theta)
+    if abs((a.y ** 2 + a.z ** 2) * s + (a.w * a.z - a.x * a.y) * t) <= 1e-6:
+        raise DegenerateP("p(a,s,t) vanishes at the selected root")
+    b = solve_b(a, s, t)
+    return _frame(a.as_array(), b.as_array(), np.array([-0.5, s, t, 0.0]))
+
+
+def mub3_system_broadcast(a: np.ndarray, zeta: np.ndarray):
+    """The unbiasedness system for (N,4) arrays by broadcast Hamilton
+    products, one per basis quaternion: (N,4,4) matrices, (N,4) sides."""
+    n = a.shape[0]
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    b_mat = np.zeros((n, 4, 4))
+    v = np.zeros((n, 4))
+    abar = qconj(a)
+    z_pows = [np.broadcast_to(one, a.shape), zeta, qmul(zeta, zeta)]
+    basis = np.eye(4)
+    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        wi = _W_POWS[i % 3]
+        w2i = _W_POWS[(2 * i) % 3]
+        wmi = _W_POWS[(-i) % 3]
+        zj = z_pows[j % 3]
+        zmj = z_pows[(-j) % 3]
+        pre = qmul(zmj, qmul(abar, w2i))
+        for m in range(4):
+            e = basis[m]
+            b_mat[:, r, m] = qmul(wi, qmul(e, zmj))[:, 0] \
+                + qmul(pre, qmul(e, zmj))[:, 0]
+        v[:, r] = -qmul(wmi, qmul(a, zj))[:, 0]
+    return b_mat, v
+
+
+def system_dets_arr(b_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The five drop-a-column determinants of the augmented systems
+    [B | v] for (N,4,4) B and (N,4) v, shape (N,5)."""
+    aug = np.concatenate([b_mat, v[:, :, None]], axis=2)
+    dets = np.empty((b_mat.shape[0], 5))
+    for i in range(5):
+        cols = [c for c in range(5) if c != i]
+        dets[:, i] = np.linalg.det(aug[:, :, cols])
+    return dets
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import birkhoff_sample
+from oracles import birkhoff_sample, system_dets_arr
 from qstoch import differential, hadamard, mub, stochastic
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
                             qexpm, qmat_adjoint, qmat_mul, qnormsq,
@@ -120,7 +120,7 @@ def test_05_determinant_identities():
     zeta[:, 0] = -0.5
     zeta[:, 1] = R32 * np.cos(theta)
     zeta[:, 2] = R32 * np.sin(theta)
-    dets = hadamard.system_dets_arr(a, zeta)
+    dets = system_dets_arr(*hadamard.mub3_system_arr(a, zeta))
     pv = hadamard.p_arr(a, zeta[:, 1], zeta[:, 2])
     alpha0, alpha1, alpha2 = hadamard.alphas_arr(a)
     s, t = zeta[:, 1], zeta[:, 2]

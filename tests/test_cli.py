@@ -9,6 +9,7 @@ import pytest
 
 import qstoch
 from qstoch.cli import main
+from qstoch.hadamard import verify_family3
 from qstoch.mub import complete_mub_h2, write_mubset
 from qstoch.qmatrix import (fourier, identity, random_symplectic,
                             read_matrix_text, write_qmat, write_rmat)
@@ -195,14 +196,72 @@ class TestConstructCommands:
         assert m.is_hadamard(1e-9)
 
     def test_generic3_branch(self, capsys):
-        rc = main(["construct", "generic3", "--a", "(0.5,0.5,0.5,0.5)",
-                   "--branch", "+"])
-        out = capsys.readouterr().out
-        if rc == 0:
-            kind, m = read_matrix_text(out)
-            assert m.is_hadamard(1e-9)
-        else:
-            assert rc in (1, 3)
+        outputs = []
+        for branch in "+-":
+            assert main(["construct", "generic3", "--a", "(0.6,0,0.8,0)",
+                         "--branch", branch]) == 0
+            outputs.append(capsys.readouterr().out)
+            kind, m = read_matrix_text(outputs[-1])
+            assert kind == "qmat" and m.is_hadamard(1e-9)
+            assert verify_family3(m, "generic")
+        assert outputs[0] != outputs[1]
+
+    def test_generic3_without_member(self, capsys):
+        assert main(["construct", "generic3", "--a", "(0.5,0.5,0.5,0.5)",
+                     "--branch", "+"]) == 1
+        assert capsys.readouterr().out == "construct=none\n"
+
+    def test_generic3_output_pinned(self, capsys):
+        assert main(["construct", "generic3", "--a", "(0.6,0,0.8,0)"]) == 0
+        assert capsys.readouterr().out == (
+            "qmat 3 3\n"
+            "(1,0,0,0) (1,0,0,0) (1,0,0,0)\n"
+            "(0.59999999999999998,0,0.80000000000000004,0) "
+            "(-0.65777087639996634,0.44497190922573976,"
+            "-0.1316718427000253,-0.59329587896765312) "
+            "(0.05777087639996635,-0.44497190922573976,"
+            "-0.66832815729997475,0.59329587896765301)\n"
+            "(-0.37499999999999994,0.82915619758885006,"
+            "4.3307262898104993e-17,0.41457809879442503) "
+            "(0.80241869381244224,0.048934306649053919,"
+            "-0.13975424859373697,-0.57809897375199559) "
+            "(-0.42741869381244224,-0.87809050423790391,"
+            "0.13975424859373692,0.16352087495757059)\n")
+        assert main(["construct", "generic3", "--a", "(0.6,0,0.8,0)",
+                     "--branch", "-"]) == 0
+        assert capsys.readouterr().out == (
+            "qmat 3 3\n"
+            "(1,0,0,0) (1,0,0,0) (1,0,0,0)\n"
+            "(0.59999999999999998,0,0.80000000000000004,0) "
+            "(-0.65777087639996634,-0.44497190922573976,"
+            "-0.13167184270002524,0.59329587896765312) "
+            "(0.057770876399966344,0.4449719092257397,"
+            "-0.66832815729997486,-0.59329587896765301)\n"
+            "(-0.37500000000000006,-0.82915619758884984,"
+            "7.5184031410026854e-17,-0.41457809879442498) "
+            "(0.80241869381244213,-0.048934306649053919,"
+            "-0.13975424859373692,0.57809897375199548) "
+            "(-0.42741869381244219,0.8780905042379038,"
+            "0.13975424859373678,-0.16352087495757056)\n")
+
+    def test_special3_output_pinned(self, capsys):
+        assert main(["construct", "special3", "--family", "s4", "--params",
+                     "1.2", "--variant", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "qmat 3 3\n"
+            "(1,0,0,0) (1,0,0,0) (1,0,0,0)\n"
+            "(0.25,-0.4330127018922193,-0.4330127018922193,"
+            "0.74999999999999989) (0.24999999999999994,"
+            "-0.43301270189221924,0.4330127018922193,"
+            "-0.74999999999999989) (-0.49999999999999989,"
+            "0.86602540378443849,-5.5511151231257827e-17,"
+            "5.5511151231257827e-17)\n"
+            "(-0.53173801108754981,-0.058374922149811909,"
+            "-0.84429838012450709,0.031738011087549811) "
+            "(-0.46531484001809881,0.05667338494231626,"
+            "0.88264781582188312,0.034685159981901123) "
+            "(0.99705285110564856,0.0017015372074956417,"
+            "-0.038349435697376089,-0.066423171069450934)\n")
 
     def test_special3(self, capsys):
         assert main(["construct", "special3", "--family", "s1",
@@ -257,6 +316,30 @@ class TestMubCommands:
                      "--grid", "6", "--conj-grid", "4"]) == 0
         kind, m = read_matrix_text(capsys.readouterr().out)
         assert m.is_symplectic(1e-9)
+
+    def test_extend_output_pinned(self, capsys, tmp_path):
+        path_i = tmp_path / "i3.qmat"
+        path_f = tmp_path / "f3.qmat"
+        path_i.write_text(write_qmat(identity(3)))
+        path_f.write_text(write_qmat(fourier(3)))
+        assert main(["mub", "extend", str(path_i), str(path_f),
+                     "--grid", "6", "--conj-grid", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "qmat 3 3\n"
+            "(0.57735026918962584,0,0,0) (0.57735026918962584,0,0,0) "
+            "(0.57735026918962584,0,0,0)\n"
+            "(0.55767753582520529,0.038675134594812872,"
+            "0.14433756729740643,0) (-0.31299682684520136,"
+            "-0.43630534568153534,0.17153400103472791,"
+            "0.12482007665797309) (-0.24468070898000391,"
+            "0.39763021108672242,-0.31587156833213431,"
+            "-0.12482007665797309)\n"
+            "(-0.22053594528217585,-0.14215341691968736,"
+            "-0.45839100821465739,-0.23316800770654081) "
+            "(0.016239134532252168,-0.19570842520198098,"
+            "0.15123230964001869,0.52143707642330372) "
+            "(0.2042968107499237,0.33786184212166837,0.30715869857463868,"
+            "-0.28826906871676305)\n")
 
     def test_maximality_on_complete_set(self, capsys, tmp_path):
         path = tmp_path / "h2.mub"

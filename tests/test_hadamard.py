@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import (alpha_coeffs, circle_point, generic3_scan,
+                     mub3_system_broadcast, phi_circle_roots_scan, phi_value,
+                     system_dets_arr, unbiased_system)
 from qstoch.errors import BadParams, DegenerateP, NoRealSolution
 from qstoch.hadamard import (OMEGA, Generic4Params, Special4Params,
-                             alpha_coeffs, circle_point, family3_matrix,
-                             generic3, generic4, mub3_system_arr,
-                             p_value, phi_circle_roots_arr,
-                             phi_circle_roots_scan, phi_value, read_family3,
-                             read_family3_params, special3, special4,
-                             special_family_points,
-                             system_dets_arr, unbiased_system,
-                             verify_family3)
+                             alphas_arr, family3_matrix, generic3, generic4,
+                             mub3_system_arr, p_value, phi_circle_roots_arr,
+                             read_family3, special3, special4,
+                             special_family_points, verify_family3)
 from qstoch.qmatrix import fourier, qmat_adjoint, qmat_mul, qnormsq
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import J as QJ
@@ -141,7 +142,7 @@ class TestUnbiasedSystem:
         zeta[:, 1] = (math.sqrt(3) / 2) * np.cos(th)
         zeta[:, 2] = (math.sqrt(3) / 2) * np.sin(th)
         b_arr, v_arr = mub3_system_arr(a_arr, zeta)
-        d_arr = system_dets_arr(a_arr, zeta)
+        d_arr = system_dets_arr(b_arr, v_arr)
         for k in range(20):
             b_s, v_s, d_s = unbiased_system(Quaternion(*a_arr[k]),
                                             zeta[k, 1], zeta[k, 2])
@@ -150,7 +151,66 @@ class TestUnbiasedSystem:
             assert np.max(np.abs(d_arr[k] - np.array(d_s))) < 1e-10
 
 
+    def test_closed_form_matches_broadcast(self, rng):
+        a = rng.standard_normal((500, 4))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        th = rng.uniform(0, 2 * np.pi, 500)
+        zeta = np.zeros((500, 4))
+        zeta[:, 0] = -0.5
+        zeta[:, 1] = (math.sqrt(3) / 2) * np.cos(th)
+        zeta[:, 2] = (math.sqrt(3) / 2) * np.sin(th)
+        b_arr, v_arr = mub3_system_arr(a, zeta)
+        b_ref, v_ref = mub3_system_broadcast(a, zeta)
+        assert np.max(np.abs(b_arr - b_ref)) <= 1e-14
+        assert np.max(np.abs(v_arr - v_ref)) <= 1e-14
+
+
+def _outcome(build):
+    try:
+        m = build()
+    except DegenerateP:
+        return "degenerate"
+    return "none" if m is None else np.asarray(getattr(m, "data", m))
+
+
+def _assert_same_outcome(a, scan_roots):
+    for branch in "+-":
+        got = _outcome(lambda: generic3(a, branch))
+        want = _outcome(lambda: generic3_scan(a, branch, scan_roots))
+        if isinstance(want, str):
+            assert isinstance(got, str) and got == want, (a, branch)
+        else:
+            assert not isinstance(got, str), (a, branch, got)
+            assert np.max(np.abs(got - want)) <= 1e-12, (a, branch)
+
+
+# A unit a from four coordinates, kept only where the 720-point scan can
+# resolve phi's roots: each root at least two scan cells from the next and
+# from the scan's endpoint angle 0 (closer or tangent roots show no sign
+# change), and phi either exactly zero or above rounding level on the circle
+_SCAN_CELL = 2 * np.pi / 720
+unit_quaternions = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: Quaternion(*(np.array(v) / np.linalg.norm(v))))
+
+
 class TestGeneric3:
+    def test_matches_scan_oracle(self, rng):
+        for _ in range(2000):
+            a = rng.standard_normal(4)
+            a = Quaternion(*(a / np.linalg.norm(a)))
+            _assert_same_outcome(a, phi_circle_roots_scan(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_quaternions)
+    def test_matches_scan_oracle_on_drawn_points(self, a):
+        alphas = np.abs(alphas_arr(a.as_array()))
+        assume(alphas.max() == 0.0 or alphas.max() > 1e-12)
+        thetas, valid = phi_circle_roots_arr(a.as_array()[None, :])
+        marks = np.sort(np.concatenate([thetas[valid], [0.0, 2 * np.pi]]))
+        assume(np.min(np.diff(marks)) > 2 * _SCAN_CELL)
+        _assert_same_outcome(a, phi_circle_roots_scan(a))
+
     def test_members_hadamard_and_unbiased(self, rng):
         produced = 0
         while produced < 15:
@@ -167,9 +227,9 @@ class TestGeneric3:
             _, b, _ = read_family3(m)
             assert b.norm() == pytest.approx(1.0, abs=1e-9)
             assert verify_family3(m, "generic", 1e-7)
-            params = read_family3_params(m, "generic")
-            assert params.a.approx_eq(a, 1e-12)
-            assert params.s ** 2 + params.t ** 2 == pytest.approx(0.75, abs=1e-9)
+            a_read, _, zeta = read_family3(m)
+            assert a_read.approx_eq(a, 1e-12)
+            assert zeta.x ** 2 + zeta.y ** 2 == pytest.approx(0.75, abs=1e-9)
 
     def test_branches_pick_different_roots(self, rng):
         for _ in range(50):
