@@ -10,6 +10,7 @@ or constructed, 1 for verified-false or nothing-found, 2 for usage errors,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import differential, hadamard, mub, stochastic
@@ -246,6 +247,18 @@ def _cmd_mub(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstoch",
@@ -259,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-hadamard")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_verify_hadamard)
 
     p = sub.add_parser("verify-symplectic")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_verify_symplectic)
 
     p = sub.add_parser("dephase")
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splits")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_splits)
 
     p = sub.add_parser("jacobian")
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank")
     p.add_argument("--map", choices=differential.MAP_KINDS, required=True)
     p.add_argument("--file", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=_cmd_classify, cross_check=False)
 
     p = sub.add_parser("classify")

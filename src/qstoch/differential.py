@@ -1,11 +1,18 @@
 """Jacobians of the entrywise squared-norm maps on O(n), U(n), Sp(n).
 
-The differential at a group point P is assembled column by column: for a
-tangent basis direction E@P the column holds the coordinates, in the
-zero-row/column-sum basis, of the scalar part of conj(P) o (E@P) taken
-entrywise.  The conventional factor 2 of the true derivative is omitted;
-rank and criticality are unaffected and the finite-difference tests account
-for it explicitly.
+The differential at a group point P has one column per tangent basis
+direction E@P: the coordinates, in the zero-row/column-sum basis, of the
+scalar part of conj(P) o (E@P) taken entrywise.  Each basis generator has
+two nonzero entries, E[i,j] = e_u and E[j,i] = sigma e_u (sigma = -1 for
+the skew A^{i,j}, +1 for the symmetric u C^{i,j}), so E@P has only two
+nonzero rows, e_u P_j at row i and sigma e_u P_i at row j.  The column is
+therefore zero outside rows i and j, where its entries are
+
+    Re(conj(P_ic) e_u P_jc)   and   sigma Re(conj(P_jc) e_u P_ic),
+
+computed for all generators at once.  The conventional factor 2 of the
+true derivative is omitted; rank and criticality are unaffected and the
+finite-difference tests account for it explicitly.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import (InternalInconsistency, NotInGroup, UnsupportedSize,
                      WrongScalarField, WrongSize)
-from .qmatrix import QMatrix, qconj, qmul
+from .qmatrix import QMatrix, qmul
 from .quaternion import aligning_conjugator
 
 GROUP_TOL = 1e-8
@@ -40,68 +47,45 @@ def codomain_dim(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tangent bases
+# tangent basis
 # ---------------------------------------------------------------------------
 
+_UNIT_AXES = {"r": (), "c": (1,), "h": (1, 2, 3)}
 
-def tangent_bases(n: int):
-    """Skew A^{i,j} (i<j), symmetric C^{i,j} (i<=j), and the B^{i,j} basis of
-    the zero-row/column-sum space (i,j <= n-1), as real arrays."""
+
+def _generator_table(map_kind: str, n: int) -> np.ndarray:
+    """The basis generators E as the columns (u, i, j, sigma) of a (4, G)
+    int array: E[i,j] = e_u, E[j,i] = sigma e_u, every other entry zero.
+
+    Order: A^{i,j} = (0, i<j, -1) lexicographic, then the iC, jC, kC
+    blocks u C^{i,j} = (u, i<=j, +1), each lexicographic.
+    """
     if n < 2:
         raise WrongSize("n must be >= 2")
-    a_list = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            a_list.append(m)
-    c_list = []
-    for i in range(n):
-        for j in range(i, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            c_list.append(m)
-    b_list = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[n - 1, n - 1] = 1.0
-            m[i, n - 1] = -1.0
-            m[n - 1, j] = -1.0
-            b_list.append(m)
-    return a_list, c_list, b_list
+    rows = [(0, i, j, -1) for i, j in zip(*np.triu_indices(n, 1))]
+    rows += [(u, i, j, 1) for u in _UNIT_AXES[map_kind]
+             for i, j in zip(*np.triu_indices(n))]
+    return np.array(rows, dtype=int).T
 
 
 def b_coordinates(m: np.ndarray) -> np.ndarray:
-    """Coordinates of a zero-row/column-sum matrix in the B^{i,j} basis.
+    """Coordinates of zero-row/column-sum matrices (..., n, n) in the
+    B^{i,j} basis, B^{i,j} = e_ij - e_in - e_nj + e_nn for i,j <= n-1.
 
     Each B^{i,j} is the only basis element supported at (i,j) for
     i,j <= n-1, so the coordinates are just the top-left block, row-major.
     """
-    return m[:-1, :-1].reshape(-1)
+    return m[..., :-1, :-1].reshape(m.shape[:-2] + (-1,))
 
 
-def tangent_generators(map_kind: str, n: int) -> list[np.ndarray]:
-    """Skew-hermitian generators E, in the fixed enumeration order, as
-    (n,n,4) quaternion-coordinate arrays.  Tangent vectors at P are E @ P.
-
-    Order: A^{i,j} lexicographic, then iC, jC, kC lexicographic.
-    """
-    a_list, c_list, _ = tangent_bases(n)
-    gens = []
-    for a in a_list:
-        g = np.zeros((n, n, 4))
-        g[..., 0] = a
-        gens.append(g)
-    units = {"r": (), "c": (1,), "h": (1, 2, 3)}[map_kind]
-    for axis in units:
-        for c in c_list:
-            g = np.zeros((n, n, 4))
-            g[..., axis] = c
-            gens.append(g)
+def tangent_generators(map_kind: str, n: int) -> np.ndarray:
+    """Skew-hermitian generators E, in the basis order, as a (G, n, n, 4)
+    quaternion-coordinate array.  Tangent vectors at P are E @ P."""
+    u, i, j, sigma = _generator_table(map_kind, n)
+    g = np.arange(u.size)
+    gens = np.zeros((u.size, n, n, 4))
+    gens[g, i, j, u] = 1.0
+    gens[g, j, i, u] = sigma
     return gens
 
 
@@ -135,19 +119,27 @@ def _check_point(map_kind: str, p: QMatrix) -> None:
         raise NotInGroup("point is not in the group within 1e-8")
 
 
+def _real_dot(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Re(conj(p) t) of (..., 4) arrays, summed in qmul's order."""
+    return (p[..., 0] * t[..., 0] + p[..., 1] * t[..., 1]
+            + p[..., 2] * t[..., 2] + p[..., 3] * t[..., 3])
+
+
 def jacobian(map_kind: str, p: QMatrix) -> JacobianMatrix:
     """Differential of the squared-norm map at p in the explicit bases."""
     _check_point(map_kind, p)
     n = p.rows
     pd = p.data
-    pconj = qconj(pd)
-    cols = []
-    for gen in tangent_generators(map_kind, n):
-        tangent = qmul(gen[:, :, None, :], pd[None, :, :, :]).sum(axis=1)
-        image = qmul(pconj, tangent)[..., 0]
-        cols.append(b_coordinates(image))
-    entries = np.array(cols).T if cols else np.zeros((codomain_dim(n), 0))
-    return JacobianMatrix(map_kind, n, entries)
+    u, i, j, sigma = _generator_table(map_kind, n)
+    g = np.arange(u.size)
+    e_ij = np.zeros((u.size, 1, 4))
+    e_ij[g, 0, u] = 1.0
+    e_ji = np.zeros((u.size, 1, 4))
+    e_ji[g, 0, u] = sigma
+    image = np.zeros((u.size, n, n))
+    image[g, j] = _real_dot(pd[j], qmul(e_ji, pd[i]))
+    image[g, i] = _real_dot(pd[i], qmul(e_ij, pd[j]))
+    return JacobianMatrix(map_kind, n, b_coordinates(image).T)
 
 
 def _entries_of(j) -> np.ndarray:
@@ -156,11 +148,7 @@ def _entries_of(j) -> np.ndarray:
 
 def numerical_rank(j, tol: float = 1e-10) -> int:
     """Count singular values above tol * sigma_max * max(rows, cols)."""
-    m = _entries_of(j)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(m.shape)))
+    return rank_report(j, tol)[0]
 
 
 def rank_report(j, tol: float = 1e-10):
@@ -344,32 +332,8 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# constructions used by the classification tests
+# a sampler shared by the classification tests and the benchmark
 # ---------------------------------------------------------------------------
-
-
-def zero_diagonal_orthogonal(rng, min_offdiag: float = 0.05,
-                             max_tries: int = 100) -> np.ndarray:
-    """Random orthogonal 4x4 matrix with zero diagonal and nonzero
-    off-diagonal entries.
-
-    Conjugating the standard orthogonal complex structure by a Haar rotation
-    keeps it skew, hence zero-diagonal; sign flips of rows and columns add
-    non-skew representatives.
-    """
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    j4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
-    for _ in range(max_tries):
-        g = rng.standard_normal((4, 4))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        x = q @ j4 @ q.T
-        off = np.abs(x[~np.eye(4, dtype=bool)])
-        if off.min() >= min_offdiag:
-            d1 = np.diag(rng.choice([-1.0, 1.0], size=4))
-            d2 = np.diag(rng.choice([-1.0, 1.0], size=4))
-            return d1 @ x @ d2
-    raise RuntimeError("failed to draw a zero-diagonal orthogonal matrix")
 
 
 def shuffled_block_sum(rng, sizes) -> np.ndarray:

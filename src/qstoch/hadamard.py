@@ -50,7 +50,7 @@ class Special4Params:
     b: Quaternion
 
     def __post_init__(self):
-        if abs(self.a.norm() - 1.0) > 1e-9 or abs(self.b.norm() - 1.0) > 1e-9:
+        if not self.a.is_unit() or not self.b.is_unit():
             raise BadParams("a and b must be unit quaternions")
         if self.a.y != 0.0 or self.a.z != 0.0:
             raise BadParams("a must lie in span{1,i}")
@@ -81,7 +81,7 @@ class Generic4Params:
     x: Quaternion
 
     def __post_init__(self):
-        if abs(self.a.norm() - 1.0) > 1e-9 or abs(self.x.norm() - 1.0) > 1e-9:
+        if not self.a.is_unit() or not self.x.is_unit():
             raise BadParams("a and x must be unit quaternions")
         if self.a.z != 0.0:
             raise BadParams("a must lie in span{1,i,j}")
@@ -138,7 +138,7 @@ def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
     when phi has no root for this a; raises DegenerateP when phi vanishes on
     the whole circle or p vanishes at the root (one of the special families
     covers that stratum).  This is the one-row case of generic3_arr."""
-    if abs(a.norm() - 1.0) > 1e-9:
+    if not a.is_unit():
         raise BadParams("a must be a unit quaternion")
     if branch not in ("+", "-"):
         raise BadParams("branch must be '+' or '-'")

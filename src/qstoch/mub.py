@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hadamard
 from .errors import (BadParams, DimensionMismatch, NotNormalized,
-                     NotSymplectic, TooManyBases)
+                     NotSymplectic, TooManyBases, WrongSize)
 from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
                       _qr_retract, fourier, gram_schmidt_columns, identity,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
@@ -96,7 +96,7 @@ def complete_mub_h2() -> MubSet:
 
 
 def _check_cube_root(q: Quaternion, name: str) -> None:
-    if (abs(q.norm() - 1.0) > 1e-9 or abs(q.w + 0.5) > 1e-9
+    if (not q.is_unit() or abs(q.w + 0.5) > 1e-9
             or abs(q.z) > 1e-9):
         raise BadParams(f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
 
@@ -308,6 +308,8 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     proof) that the set is maximal; a violation below 1e-8 exhibits an
     extension.
     """
+    if restarts < 1:
+        raise WrongSize("restarts must be >= 1")
     targets = [b.data for b in mubset.bases]
     n = mubset.n
     best_viol = np.inf

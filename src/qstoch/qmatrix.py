@@ -121,23 +121,6 @@ def qmat_eye(n: int) -> np.ndarray:
     return out
 
 
-def qexpm(a: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Power-series exponential of a square quaternion matrix.
-
-    Adequate for the small, small-norm inputs used in tangent retractions;
-    the series is truncated once a term underflows.
-    """
-    n = a.shape[0]
-    result = qmat_eye(n)
-    term = qmat_eye(n)
-    for k in range(1, terms + 1):
-        term = qmat_mul(term, a) / k
-        result = result + term
-        if np.max(np.abs(term)) < 1e-300:
-            break
-    return result
-
-
 # ---------------------------------------------------------------------------
 # QMatrix
 # ---------------------------------------------------------------------------
@@ -205,9 +188,6 @@ class QMatrix:
 
     def squared_norms(self) -> np.ndarray:
         return qnormsq(self.data)
-
-    def scalar_parts(self) -> np.ndarray:
-        return self.data[..., 0].copy()
 
     def to_complex(self) -> np.ndarray:
         """Complex matrix view; ignores j and k coordinates."""
@@ -342,7 +322,7 @@ class QMatrix:
 
     def entrywise_conjugate(self, x: Quaternion) -> "QMatrix":
         """Conjugate every entry by the unit quaternion x."""
-        if abs(x.norm() - 1.0) > 1e-9:
+        if not x.is_unit():
             raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1")
         xa = x.as_array()
         return QMatrix(qmul(qmul(xa, self.data), qconj(xa)))
@@ -371,7 +351,7 @@ class MonomialTransform:
 
     def __post_init__(self):
         for p in self.phases:
-            if abs(p.norm() - 1.0) > 1e-9:
+            if not p.is_unit():
                 raise NonUnitConjugator("monomial phases must be unit quaternions")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")

@@ -87,10 +87,6 @@ class Quaternion:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def scalar_part(self) -> float:
-        return self.w
-
     def pure_part(self) -> "Quaternion":
         return Quaternion(0.0, self.x, self.y, self.z)
 
@@ -101,14 +97,8 @@ class Quaternion:
         return abs(self.w) <= tol
 
     def is_unit(self, tol: float = UNIT_TOL) -> bool:
+        """|q| = 1 within tol; False when a coordinate is NaN."""
         return abs(self.norm() - 1.0) <= tol
-
-    def is_complex(self, tol: float = PURE_TOL) -> bool:
-        """True when the j and k coordinates vanish."""
-        return abs(self.y) <= tol and abs(self.z) <= tol
-
-    def is_real(self, tol: float = PURE_TOL) -> bool:
-        return abs(self.x) <= tol and abs(self.y) <= tol and abs(self.z) <= tol
 
     def approx_eq(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         return (self - _coerce(other)).norm() <= tol
@@ -161,7 +151,7 @@ def conjugate_by(q: Quaternion, x: Quaternion) -> Quaternion:
     Preserves the norm and the scalar part of q.
     """
     q, x = _coerce(q), _coerce(x)
-    if abs(x.norm() - 1.0) > UNIT_TOL:
+    if not x.is_unit():
         raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1 within {UNIT_TOL}")
     return x * q * x.conjugate()
 

@@ -7,14 +7,16 @@ scan for the roots of phi, the unbiasedness system one basis quaternion at
 a time, Cramer's rule) and the broadcast form of that system that the
 closed form in qstoch.hadamard replaced, the Sp(n) descent loop with
 a Householder QR retraction and a full objective at every trial step that
-the lean loop in qstoch.mub replaced, and the exhaustive sign
+the lean loop in qstoch.mub replaced, the exhaustive sign
 enumerations that the meet-in-the-middle sigma search and the column-by-
-column pattern completion in qstoch.stochastic replaced.  They share no
-code path with those beyond the elementwise Hamilton product (plus the
-generic-family generator feeding the sweep, and the chi conversions and
-the start-point QR of the descent), so a defect cannot hide in a
-comparison against them.  The Birkhoff sampler used by the tests lives
-here too.
+column pattern completion in qstoch.stochastic replaced, and the Jacobian
+built one dense generator at a time that the two-row columns in
+qstoch.differential replaced.  They share no code path with those beyond
+the elementwise Hamilton product (plus the generic-family generator
+feeding the sweep, and the chi conversions and the start-point QR of the
+descent), so a defect cannot hide in a comparison against them.  The
+Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
+exponential used by the tests live here too.
 """
 
 import math
@@ -22,10 +24,10 @@ import math
 import numpy as np
 
 from qstoch import hadamard
-from qstoch.errors import BadParams, DegenerateP
+from qstoch.errors import BadParams, DegenerateP, WrongSize
 from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
-                            qconj, qmul, qnormsq)
+                            qconj, qmat_eye, qmat_mul, qmul, qnormsq)
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array)
@@ -540,3 +542,107 @@ def orthostochastic_bruteforce_tensor(b: BistochasticMatrix, tol: float = 1e-8):
     if hits.size == 0:
         return None
     return SignPattern(n, pats[hits[0]].copy())
+
+
+# ---------------------------------------------------------------------------
+# the differential one dense generator at a time
+# ---------------------------------------------------------------------------
+
+
+def tangent_bases(n: int):
+    """Skew A^{i,j} (i<j), symmetric C^{i,j} (i<=j), and the B^{i,j} basis of
+    the zero-row/column-sum space (i,j <= n-1), as real arrays."""
+    if n < 2:
+        raise WrongSize("n must be >= 2")
+    a_list = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0
+            m[j, i] = -1.0
+            a_list.append(m)
+    c_list = []
+    for i in range(n):
+        for j in range(i, n):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0
+            m[j, i] = 1.0
+            c_list.append(m)
+    b_list = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0
+            m[n - 1, n - 1] = 1.0
+            m[i, n - 1] = -1.0
+            m[n - 1, j] = -1.0
+            b_list.append(m)
+    return a_list, c_list, b_list
+
+
+def generators_from_bases(map_kind: str, n: int) -> list[np.ndarray]:
+    """Dense (n,n,4) generators: the A^{i,j} in the real coordinate, then
+    the C^{i,j} in the i, j, k coordinates in turn."""
+    a_list, c_list, _ = tangent_bases(n)
+    gens = []
+    for a in a_list:
+        g = np.zeros((n, n, 4))
+        g[..., 0] = a
+        gens.append(g)
+    for axis in {"r": (), "c": (1,), "h": (1, 2, 3)}[map_kind]:
+        for c in c_list:
+            g = np.zeros((n, n, 4))
+            g[..., axis] = c
+            gens.append(g)
+    return gens
+
+
+def jacobian_by_generators(map_kind: str, p) -> np.ndarray:
+    """Jacobian entries ((n-1)^2, G): for each dense generator E, the full
+    product E @ P, the entrywise Re(conj(P) o E@P), and its top-left block
+    row-major."""
+    pd = p.data
+    cols = []
+    for gen in generators_from_bases(map_kind, p.rows):
+        image = qmul(qconj(pd), hamilton_qmat_mul(gen, pd))[..., 0]
+        cols.append(image[:-1, :-1].reshape(-1))
+    return np.array(cols).T
+
+
+def qexpm(a: np.ndarray, terms: int = 30) -> np.ndarray:
+    """Power-series exponential of a square quaternion matrix, truncated
+    once a term underflows.  Adequate for the small, small-norm directions
+    of the finite-difference tests."""
+    n = a.shape[0]
+    result = qmat_eye(n)
+    term = qmat_eye(n)
+    for k in range(1, terms + 1):
+        term = qmat_mul(term, a) / k
+        result = result + term
+        if np.max(np.abs(term)) < 1e-300:
+            break
+    return result
+
+
+def zero_diagonal_orthogonal(rng, min_offdiag: float = 0.05,
+                             max_tries: int = 100) -> np.ndarray:
+    """Random orthogonal 4x4 matrix with zero diagonal and nonzero
+    off-diagonal entries.
+
+    Conjugating the standard orthogonal complex structure by a Haar rotation
+    keeps it skew, hence zero-diagonal; sign flips of rows and columns add
+    non-skew representatives.
+    """
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    j4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
+    for _ in range(max_tries):
+        g = rng.standard_normal((4, 4))
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diag(r))
+        x = q @ j4 @ q.T
+        off = np.abs(x[~np.eye(4, dtype=bool)])
+        if off.min() >= min_offdiag:
+            d1 = np.diag(rng.choice([-1.0, 1.0], size=4))
+            d2 = np.diag(rng.choice([-1.0, 1.0], size=4))
+            return d1 @ x @ d2
+    raise RuntimeError("failed to draw a zero-diagonal orthogonal matrix")

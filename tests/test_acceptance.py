@@ -10,10 +10,11 @@ import time
 
 import numpy as np
 
-from oracles import birkhoff_sample, system_dets_arr
+from oracles import (birkhoff_sample, qexpm, system_dets_arr,
+                     zero_diagonal_orthogonal)
 from qstoch import differential, hadamard, mub, stochastic
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
-                            qexpm, qmat_adjoint, qmat_mul, qnormsq,
+                            qmat_adjoint, qmat_mul, qnormsq,
                             random_symplectic)
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
@@ -292,7 +293,7 @@ def test_11_critical_point_classifications():
                 detail.append("exceptional")
     # (c) zero-diagonal O(4) witnesses: singular with vanishing 3x3 minors
     for _ in range(10):
-        x = differential.zero_diagonal_orthogonal(rng)
+        x = zero_diagonal_orthogonal(rng)
         res = differential.classify_point("r", QMatrix.from_real(x))
         if res.verdict != "singular":
             ok = False

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -181,6 +182,36 @@ class TestJacobianCommands:
         _, files = workdir
         assert main(["jacobian", "--map", "r", "--file", files["f3_unit.qmat"]]) == 3
 
+    def test_jacobian_output_pinned(self, workdir, capsys, tmp_path):
+        _, files = workdir
+        assert main(["jacobian", "--map", "c", "--file", files["f3_unit.qmat"]]) == 0
+        assert capsys.readouterr().out == (
+            "rmat 4 9\n"
+            "0.33333333333333343 0.33333333333333343 0 0 0 0 0 0 0\n"
+            "-0.1666666666666666 -0.16666666666666685 0 0 "
+            "-0.28867513459481298 0.28867513459481287 0 0 0\n"
+            "-0.33333333333333343 0 0.33333333333333343 0 0 0 0 0 0\n"
+            "0.1666666666666666 0 -0.16666666666666663 0 "
+            "0.28867513459481298 0 0 -0.28867513459481298 0\n")
+        path = tmp_path / "w4.qmat"
+        path.write_text(write_qmat(random_symplectic(4, seed=4)))
+        assert main(["jacobian", "--map", "h", "--file", str(path)]) == 0
+        out = capsys.readouterr().out
+        # 2914 bytes of 9 x 36 entries; the digest pins all of them
+        assert out.startswith("rmat 9 36\n-0.0039741606481850031 "
+                              "0.095289358487423342 -0.077643962290452048 0 ")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "866956986fdded332a1a9875b804a475f173fce0e2c546ea0643efc65352e43c")
+
+    @pytest.mark.parametrize("verb", ["jacobian", "rank", "classify"])
+    def test_one_by_one_is_numeric_error(self, verb, tmp_path, capsys):
+        path = tmp_path / "one.qmat"
+        path.write_text(write_qmat(identity(1)))
+        assert main([verb, "--map", "h", "--file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 2\n"
+
 
 class TestConstructCommands:
     def test_special4(self, capsys):
@@ -205,6 +236,12 @@ class TestConstructCommands:
             assert kind == "qmat" and m.is_hadamard(1e-9)
             assert verify_family3(m, "generic")
         assert outputs[0] != outputs[1]
+
+    def test_generic3_non_finite_a_is_an_error(self, capsys):
+        assert main(["construct", "generic3", "--a", "(1,0,0,nan)"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a must be a unit quaternion\n"
 
     def test_generic3_without_member(self, capsys):
         assert main(["construct", "generic3", "--a", "(0.5,0.5,0.5,0.5)",
@@ -350,6 +387,17 @@ class TestMubCommands:
         assert out.splitlines()[0] == "violation,restarts,seed"
 
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_maximality_needs_a_restart(self, restarts, capsys, tmp_path):
+        path = tmp_path / "h2.mub"
+        path.write_text(write_mubset(complete_mub_h2()))
+        assert main(["mub", "maximality", str(path),
+                     "--restarts", restarts]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: restarts must be >= 1\n"
+
+
 class TestUsageErrors:
     def test_unknown_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -358,6 +406,27 @@ class TestUsageErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify-hadamard", str(tmp_path / "nope.qmat")]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "-inf", "x"])
+    @pytest.mark.parametrize("verb", ["verify-hadamard", "verify-symplectic",
+                                      "splits", "rank"])
+    def test_tol_must_be_finite_and_positive(self, verb, tol, workdir, capsys):
+        _, files = workdir
+        args = ["--map", "h", "--file"] if verb == "rank" else []
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *args, files["w3.qmat"], f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol: tolerance must be finite and > 0" in captured.err
+
+    @pytest.mark.parametrize("verb", ["verify-hadamard", "verify-symplectic",
+                                      "splits", "rank"])
+    def test_tol_accepts_positive_values(self, verb, workdir, capsys):
+        _, files = workdir
+        args = ["--map", "h", "--file"] if verb == "rank" else []
+        assert main([verb, *args, files["w3.qmat"], "--tol", "1e-6"]) in (0, 1)
+        assert capsys.readouterr().out.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["phi", "{q}"], ["verify-symplectic", "{q}"], ["verify-hadamard", "{q}"],

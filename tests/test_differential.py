@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (generators_from_bases, jacobian_by_generators, qexpm,
+                     tangent_bases, zero_diagonal_orthogonal)
 from qstoch.differential import (b_coordinates, classify_point, codomain_dim,
                                  domain_dim, jacobian, numerical_rank,
                                  rank_report, shuffled_block_sum,
-                                 tangent_bases, tangent_generators,
-                                 zero_diagonal_orthogonal)
-from qstoch.errors import NotInGroup, UnsupportedSize, WrongScalarField
+                                 tangent_generators)
+from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
+                           WrongSize)
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
-                            identity, qexpm, qmat_mul, qnormsq,
+                            identity, qmat_adjoint, qmat_mul, qnormsq,
                             random_symplectic)
 from qstoch.quaternion import Quaternion
 
@@ -49,6 +53,24 @@ class TestTangentBases:
         for mk in ("r", "c", "h"):
             for n in (2, 3, 4):
                 assert len(tangent_generators(mk, n)) == domain_dim(mk, n)
+
+    def test_generators_match_dense_bases(self):
+        for mk in ("r", "c", "h"):
+            for n in range(2, 7):
+                assert np.array_equal(tangent_generators(mk, n),
+                                      np.array(generators_from_bases(mk, n)))
+
+    def test_generators_skew_hermitian(self):
+        for mk in ("r", "c", "h"):
+            gens = tangent_generators(mk, 4)
+            assert np.array_equal(qmat_adjoint(gens), -gens)
+
+    def test_n1_raises_wrong_size(self):
+        for mk in ("r", "c", "h"):
+            with pytest.raises(WrongSize):
+                tangent_generators(mk, 1)
+            with pytest.raises(WrongSize):
+                jacobian(mk, identity(1))
 
 
 class TestJacobian:
@@ -117,6 +139,40 @@ class TestJacobian:
                     assert np.linalg.norm(fd - jv) <= 1e-6 * np.linalg.norm(jv)
 
 
+def _point(mk, kind, n, rng):
+    """A point of the group of map mk: Haar, a split block sum, the
+    identity, or the Fourier matrix (the identity for map r)."""
+    if kind == "haar":
+        if mk == "r":
+            return QMatrix.from_real(haar_orthogonal(n, rng))
+        if mk == "c":
+            return QMatrix.from_complex(haar_unitary(n, rng))
+        return random_symplectic(n, seed=int(rng.integers(1 << 30)))
+    if kind == "split":
+        k = int(rng.integers(1, n))
+        return QMatrix.from_real(shuffled_block_sum(rng, (k, n - k)))
+    if kind == "fourier" and mk != "r":
+        return fourier(n)
+    return identity(n)
+
+
+class TestJacobianOracle:
+    """The two-row columns against the dense generator-by-generator loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mk=st.sampled_from("rch"), n=st.integers(2, 8),
+           kind=st.sampled_from(("haar", "split", "identity", "fourier")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_generators(self, mk, n, kind, seed):
+        p = _point(mk, kind, n, np.random.default_rng(seed))
+        got = jacobian(mk, p).entries
+        want = jacobian_by_generators(mk, p)
+        assert np.array_equal(got, want)
+        if mk != "h":
+            # the rmat text of maps r and c keeps even the signs of zeros
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((4, 6))) == 0
@@ -128,6 +184,12 @@ class TestNumericalRank:
     def test_threshold_scaling(self, rng):
         m = np.diag([1.0, 1e-3, 1e-14])
         assert numerical_rank(m, tol=1e-10) == 2
+
+    def test_agrees_with_rank_report(self, rng):
+        for m in (np.zeros((2, 3)), np.diag([1.0, 1e-9, 1e-12]),
+                  rng.standard_normal((4, 6))):
+            for tol in (1e-10, 1e-3):
+                assert numerical_rank(m, tol) == rank_report(m, tol)[0]
 
 
 class TestClassification:

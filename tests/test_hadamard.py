@@ -59,6 +59,10 @@ class TestSpecial4:
         with pytest.raises(BadParams):
             Special4Params(ONE, Quaternion(0.6, 0.8, 0, 0))
 
+    def test_rejects_nan(self):
+        with pytest.raises(BadParams):
+            Special4Params(Quaternion(float("nan"), 0, 0, 0), ONE)
+
 
 class TestGeneric4:
     def test_b_formula_matches_closed_form(self, rng):
@@ -91,6 +95,10 @@ class TestGeneric4:
     def test_pole_rejected(self):
         with pytest.raises(BadParams):
             Generic4Params(Quaternion(-1, 0, 0, 0), QI)
+
+    def test_rejects_nan(self):
+        with pytest.raises(BadParams):
+            Generic4Params(Quaternion(float("nan"), 0, 0, 0), QI)
 
 
 class TestScalarInvariants:
@@ -246,6 +254,10 @@ class TestGeneric3:
                 continue
             assert not mp.approx_eq(mm, 1e-6)
             break
+
+    def test_rejects_nan(self):
+        with pytest.raises(BadParams):
+            generic3(Quaternion(1, 0, 0, float("nan")))
 
     def test_a_one_is_degenerate(self):
         with pytest.raises(DegenerateP):

@@ -6,7 +6,7 @@ from oracles import descend_qr, descent_objective
 
 from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
-                           NotSymplectic, TooManyBases)
+                           NotSymplectic, TooManyBases, WrongSize)
 from qstoch.mub import (MubSet, complete_mub_h2, cross_gram_deviation,
                         direct_maximality_search, extend_search, is_unbiased,
                         one_param_h3, operator_frame_orthogonality,
@@ -113,6 +113,11 @@ class TestH3Families:
     def test_three_param_rejects_bad_root(self):
         with pytest.raises(BadParams):
             three_param_h3(QI, cube_root(0.1), cube_root(0.2))
+
+    def test_three_param_rejects_nan_root(self):
+        with pytest.raises(BadParams):
+            three_param_h3(Quaternion(-0.5, float("nan"), 0, 0),
+                           cube_root(0.1), cube_root(0.2))
 
 
 class TestOperatorFrame:
@@ -313,6 +318,11 @@ class TestSearches:
     def test_direct_search_blocked_on_complete_set(self):
         viol, _ = direct_maximality_search(complete_mub_h2(), restarts=10, seed=3)
         assert viol > 0.1
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_direct_search_needs_a_restart(self, restarts):
+        with pytest.raises(WrongSize, match="restarts must be >= 1"):
+            direct_maximality_search(complete_mub_h2(), restarts=restarts)
 
     def test_direct_search_deterministic(self):
         s = MubSet(2, (identity(2), h_basis(ONE)))

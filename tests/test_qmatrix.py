@@ -197,6 +197,8 @@ class TestEntrywiseConjugate:
     def test_rejects_non_unit(self):
         with pytest.raises(NonUnitConjugator):
             identity(2).entrywise_conjugate(Quaternion(1, 1, 0, 0))
+        with pytest.raises(NonUnitConjugator):
+            identity(2).entrywise_conjugate(Quaternion(float("nan"), 0, 0, 0))
 
 
 class TestFourier:
@@ -318,3 +320,5 @@ class TestMonomialTransform:
     def test_rejects_non_unit_phase(self):
         with pytest.raises(NonUnitConjugator):
             MonomialTransform((0,), (Quaternion(2, 0, 0, 0),), "left")
+        with pytest.raises(NonUnitConjugator):
+            MonomialTransform((0,), (Quaternion(float("nan"), 0, 0, 0),))

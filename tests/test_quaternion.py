@@ -98,6 +98,12 @@ class TestConjugateBy:
         with pytest.raises(NonUnitConjugator):
             conjugate_by(J, Quaternion(1, 1, 0, 0))
 
+    def test_rejects_nan_conjugator(self):
+        nan = float("nan")
+        assert not Quaternion(nan, 0, 0, 0).is_unit()
+        with pytest.raises(NonUnitConjugator):
+            conjugate_by(J, Quaternion(nan, 0, 0, 0))
+
     def test_preserves_norm_and_scalar_part(self, random_quaternion):
         for _ in range(100):
             q = random_quaternion()
