@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import (InternalInconsistency, NotInGroup, UnsupportedSize,
                      WrongScalarField, WrongSize)
-from .qmatrix import QMatrix, qmul
+from .qmatrix import QMatrix, haar_orthogonal, qmul
 from .quaternion import aligning_conjugator
-
-GROUP_TOL = 1e-8
-SCALAR_FIELD_TOL = 1e-9
+from .tol import (GROUP_POINT, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO,
+                  SCALAR_FIELD, ZERO_BAND, ZERO_ENTRY)
 
 MAP_KINDS = ("r", "c", "h")
 
@@ -111,11 +110,11 @@ def _check_point(map_kind: str, p: QMatrix) -> None:
         raise WrongSize(f"unknown map kind {map_kind!r}")
     if not p.is_square:
         raise NotInGroup("group points are square")
-    if map_kind == "r" and p.max_imag() > SCALAR_FIELD_TOL:
+    if map_kind == "r" and p.max_imag() > SCALAR_FIELD:
         raise WrongScalarField("map r needs a real matrix")
-    if map_kind == "c" and p.max_jk() > SCALAR_FIELD_TOL:
+    if map_kind == "c" and p.max_jk() > SCALAR_FIELD:
         raise WrongScalarField("map c needs a complex matrix")
-    if p.unitary_defect() > GROUP_TOL:
+    if p.unitary_defect() > GROUP_POINT:
         raise NotInGroup("point is not in the group within 1e-8")
 
 
@@ -146,12 +145,12 @@ def _entries_of(j) -> np.ndarray:
     return j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=float)
 
 
-def numerical_rank(j, tol: float = 1e-10) -> int:
+def numerical_rank(j, tol: float = RANK_RATIO) -> int:
     """Count singular values above tol * sigma_max * max(rows, cols)."""
     return rank_report(j, tol)[0]
 
 
-def rank_report(j, tol: float = 1e-10):
+def rank_report(j, tol: float = RANK_RATIO):
     """(rank, singular values, gap ratio).  The gap ratio compares the last
     retained singular value with the first discarded one, or with the
     threshold when the matrix has full numerical rank."""
@@ -193,21 +192,18 @@ class ClassifyResult:
                 f"verdict={self.verdict}")
 
 
-_PATTERN_BAND = 1000.0
-
-
-def _zero_mask_stable(norms: np.ndarray, ztol: float):
-    """Zero mask at ztol, or None when entries sit inside the ambiguous band."""
-    band = (norms > ztol) & (norms < ztol * _PATTERN_BAND)
+def _zero_mask_stable(norms: np.ndarray):
+    """Zero mask at ZERO_ENTRY, or None when a norm sits in the ambiguous band."""
+    band = (norms > ZERO_ENTRY) & (norms < ZERO_ENTRY * ZERO_BAND)
     if band.any():
         return None
-    return norms <= ztol
+    return norms <= ZERO_ENTRY
 
 
-def _pattern_verdict_r(p: QMatrix, ztol: float) -> str:
+def _pattern_verdict_r(p: QMatrix) -> str:
     n = p.rows
     norms = p.norms()
-    mask = _zero_mask_stable(norms, ztol)
+    mask = _zero_mask_stable(norms)
     if mask is None:
         return "undecided"
     if n == 2:
@@ -217,9 +213,9 @@ def _pattern_verdict_r(p: QMatrix, ztol: float) -> str:
             return "singular"
         return "regular"
     if n == 3:
-        return "singular" if p.splits(ztol) else "regular"
+        return "singular" if p.splits() else "regular"
     if n == 4:
-        if p.splits(ztol):
+        if p.splits():
             return "singular"
         # second type: zeros form a transversal, everything else nonzero
         if (mask.sum() == 4 and (mask.sum(axis=0) == 1).all()
@@ -229,7 +225,7 @@ def _pattern_verdict_r(p: QMatrix, ztol: float) -> str:
     raise UnsupportedSize("pattern classification for map r needs n <= 4")
 
 
-def _reduce_to_complex(p: QMatrix, ztol: float) -> QMatrix | None:
+def _reduce_to_complex(p: QMatrix) -> QMatrix | None:
     """Equivalence reduction of a 3x3 symplectic matrix to a complex one.
 
     Dephase (after permuting a zero-free frame into place), then conjugate
@@ -246,15 +242,15 @@ def _reduce_to_complex(p: QMatrix, ztol: float) -> QMatrix | None:
             if frame_min > best_min:
                 best_min = frame_min
                 best = (pr, pc)
-    if best is None or best_min <= ztol * _PATTERN_BAND:
+    if best is None or best_min <= ZERO_ENTRY * ZERO_BAND:
         return None
     pr, pc = best
     permuted = QMatrix(p.data[np.ix_(pr, pc)])
-    dephased, _, _ = permuted.dephase(tol=ztol)
+    dephased, _, _ = permuted.dephase()
     q22 = dephased.entry(1, 1)
     x = aligning_conjugator(q22)
     reduced = dephased.entrywise_conjugate(x)
-    if reduced.max_jk() > 1e-7:
+    if reduced.max_jk() > REDUCED_ZERO:
         return None
     return reduced
 
@@ -262,10 +258,10 @@ def _reduce_to_complex(p: QMatrix, ztol: float) -> QMatrix | None:
 _PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
-def _pattern_verdict_ch(p: QMatrix, ztol: float) -> str:
+def _pattern_verdict_ch(p: QMatrix) -> str:
     n = p.rows
     norms = p.norms()
-    mask = _zero_mask_stable(norms, ztol)
+    mask = _zero_mask_stable(norms)
     if mask is None:
         return "undecided"
     if n == 2:
@@ -273,23 +269,22 @@ def _pattern_verdict_ch(p: QMatrix, ztol: float) -> str:
             return "critical"
         return "regular"
     if n == 3:
-        if p.splits(ztol):
+        if p.splits():
             return "critical"
-        reduced = _reduce_to_complex(p, ztol)
+        reduced = _reduce_to_complex(p)
         if reduced is None:
             return "undecided"
         imag = reduced.max_imag()
-        if imag <= 1e-7:
+        if imag <= REDUCED_ZERO:
             return "critical"
-        if imag >= 1e-4:
+        if imag >= REDUCED_REGULAR:
             return "regular"
         return "undecided"
     raise UnsupportedSize("pattern classification for maps c,h needs n <= 3")
 
 
-def classify_point(map_kind: str, p: QMatrix, tol: float = 1e-10,
-                   cross_check: bool | str = "auto",
-                   ztol: float = 1e-9) -> ClassifyResult:
+def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
+                   cross_check: bool | str = "auto") -> ClassifyResult:
     """Rank-based singular/critical/regular verdict with an optional
     zero-pattern cross check.
 
@@ -319,9 +314,9 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = 1e-10,
             f"theorem cross-check unavailable for map {map_kind} at n={n}")
     if want_check:
         if map_kind == "r":
-            pattern = _pattern_verdict_r(p, ztol)
+            pattern = _pattern_verdict_r(p)
         else:
-            pattern = _pattern_verdict_ch(p, ztol)
+            pattern = _pattern_verdict_ch(p)
         if pattern != "undecided" and pattern != verdict:
             raise InternalInconsistency(
                 f"rank verdict {verdict} but pattern verdict {pattern} "
@@ -342,9 +337,7 @@ def shuffled_block_sum(rng, sizes) -> np.ndarray:
     out = np.zeros((n, n))
     pos = 0
     for k in sizes:
-        g = rng.standard_normal((k, k))
-        q, r = np.linalg.qr(g)
-        out[pos:pos + k, pos:pos + k] = q * np.sign(np.diag(r))
+        out[pos:pos + k, pos:pos + k] = haar_orthogonal(k, rng)
         pos += k
     pr, pc = rng.permutation(n), rng.permutation(n)
     return out[np.ix_(pr, pc)]

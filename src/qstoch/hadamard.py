@@ -26,15 +26,13 @@ from .errors import BadParams, DegenerateP, NoRealSolution, WrongSize
 from .qmatrix import QMatrix, qconj, qmul
 from .quaternion import I as QI
 from .quaternion import ONE, Quaternion
+from .tol import (A_POLE, DEGENERATE, FAMILY_RESIDUAL, P_FLOOR, ROOT_MERGE,
+                  ZETA_CIRCLE)
 
 R32 = math.sqrt(3.0) / 2.0
 OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
 
 FAMILY_IDS = ("generic", "s1", "s2", "s3", "s4", "s5")
-
-# |p(a, s, t)| at or below this marks the stratum where a special family
-# takes over from the generic one
-P_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ class Generic4Params:
             raise BadParams("a must lie in span{1,i,j}")
         if self.x.w != 0.0 or self.x.z != 0.0:
             raise BadParams("x must be pure in span{i,j}")
-        if (ONE + self.a).norm() <= 1e-9:
+        if (ONE + self.a).norm() <= A_POLE:
             raise BadParams("a = -1 is a pole of the family")
 
 
@@ -149,7 +147,7 @@ def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
             raise DegenerateP("phi vanishes on the whole circle")
         return None
     roots = np.sort(thetas[valid])
-    roots = roots[np.diff(roots, prepend=-1.0) > 1e-9]
+    roots = roots[np.diff(roots, prepend=-1.0) > ROOT_MERGE]
     theta = roots[0] if branch == "+" or len(roots) == 1 else roots[1]
     frames, ok = generic3_arr(arr, np.array([theta]))
     if not ok[0]:
@@ -262,7 +260,8 @@ def special3_arr(family_id: str, params, variants):
             t = et * 2.0 * np.abs(a3)
             s = -(a1 * a4 - a2 * a3) * t / (a3 * a3 + a4 * a4)
             # a1 outside (-1/2, 1), or a sign combination off the (s,t) circle
-            ok = (-0.5 < a1) & (a1 < 1.0) & (np.abs(s * s + t * t - 0.75) <= 1e-9)
+            ok = ((-0.5 < a1) & (a1 < 1.0)
+                  & (np.abs(s * s + t * t - 0.75) <= ZETA_CIRCLE))
             zeta = _quat(-0.5, s, t, 0.0)
             bw = np.stack([_quat(0.0, -a3 / a2, 1.0, 0.0),
                            _quat(-a2 / a3, 1.0 / (2.0 * a3), 0.0, 1.0)], axis=-1)
@@ -312,7 +311,8 @@ def _frame_residual(m: QMatrix, a: Quaternion, b: Quaternion,
     return float(np.max(np.abs(m.data - frame.data)))
 
 
-def verify_family3(m: QMatrix, family_id: str, tol: float = 1e-9) -> bool:
+def verify_family3(m: QMatrix, family_id: str,
+                   tol: float = FAMILY_RESIDUAL) -> bool:
     """Check the defining constraints of the named family on the parameters
     read off the matrix."""
     if family_id not in FAMILY_IDS:
@@ -399,7 +399,7 @@ def phi_circle_roots_arr(a: np.ndarray):
     delta = np.arctan2(qc, pc)
     with np.errstate(divide="ignore", invalid="ignore"):
         cosval = np.where(mag > 0, -k / np.where(mag > 0, mag, 1.0), 2.0)
-    valid_base = (mag > 1e-15) & (np.abs(cosval) <= 1.0)
+    valid_base = (mag > DEGENERATE) & (np.abs(cosval) <= 1.0)
     psi = np.arccos(np.clip(cosval, -1.0, 1.0))
     th0 = 0.5 * (delta + psi)
     th1 = 0.5 * (delta - psi)

@@ -24,9 +24,8 @@ from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_matrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
-
-UNBIASED_TOL = 1e-9
-SYMPLECTIC_TOL = 1e-9
+from .tol import (DESCENT_GOAL, GRADIENT_FLOOR, GROUP_BASIS, GROUP_POINT,
+                  NEAR_MISS, STEP_FLOOR, UNBIASED, ZETA_CIRCLE)
 
 
 def cross_gram_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -36,7 +35,7 @@ def cross_gram_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(qnormsq(gram) - 1.0 / n)))
 
 
-def is_unbiased(a: QMatrix, b: QMatrix, tol: float = UNBIASED_TOL) -> bool:
+def is_unbiased(a: QMatrix, b: QMatrix, tol: float = UNBIASED) -> bool:
     """True when all squared cross inner products equal 1/n within tol.
 
     Equivalently sqrt(n) A*B is a Hadamard matrix.
@@ -44,9 +43,31 @@ def is_unbiased(a: QMatrix, b: QMatrix, tol: float = UNBIASED_TOL) -> bool:
     if a.rows != b.rows or a.cols != b.cols or not a.is_square:
         raise DimensionMismatch("unbiasedness needs two square matrices of one size")
     for m in (a, b):
-        if m.unitary_defect() > 1e-8:
+        if m.unitary_defect() > GROUP_POINT:
             raise NotSymplectic("bases must be symplectic within 1e-8")
     return cross_gram_deviation(a.data, b.data) <= tol
+
+
+def check_bases(n: int, bases) -> float:
+    """Raise unless bases are at most 2n+1 pairwise unbiased n x n
+    symplectic matrices; return the worst cross_gram_deviation of a pair
+    (0 for fewer than two bases)."""
+    if len(bases) > 2 * n + 1:
+        raise TooManyBases(f"{len(bases)} bases exceed the bound {2 * n + 1}")
+    for b in bases:
+        if b.rows != n or b.cols != n:
+            raise DimensionMismatch("all bases must be n x n")
+        if b.unitary_defect() > GROUP_BASIS:
+            raise NotSymplectic("basis fails the symplectic check at 1e-9")
+    worst = 0.0
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            dev = cross_gram_deviation(bases[i].data, bases[j].data)
+            if dev > UNBIASED:
+                raise BadParams(
+                    f"bases {i} and {j} are not unbiased (deviation {dev:.2e})")
+            worst = max(worst, dev)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -57,20 +78,7 @@ class MubSet:
     bases: tuple[QMatrix, ...]
 
     def __post_init__(self):
-        if len(self.bases) > 2 * self.n + 1:
-            raise TooManyBases(
-                f"{len(self.bases)} bases exceed the bound {2 * self.n + 1}")
-        for b in self.bases:
-            if b.rows != self.n or b.cols != self.n:
-                raise DimensionMismatch("all bases must be n x n")
-            if b.unitary_defect() > SYMPLECTIC_TOL:
-                raise NotSymplectic("basis fails the symplectic check at 1e-9")
-        for i in range(len(self.bases)):
-            for j in range(i + 1, len(self.bases)):
-                dev = cross_gram_deviation(self.bases[i].data, self.bases[j].data)
-                if dev > UNBIASED_TOL:
-                    raise BadParams(
-                        f"bases {i} and {j} are not unbiased (deviation {dev:.2e})")
+        check_bases(self.n, self.bases)
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -96,15 +104,15 @@ def complete_mub_h2() -> MubSet:
 
 
 def _check_cube_root(q: Quaternion, name: str) -> None:
-    if (not q.is_unit() or abs(q.w + 0.5) > 1e-9
-            or abs(q.z) > 1e-9):
+    if (not q.is_unit() or abs(q.w + 0.5) > ZETA_CIRCLE
+            or abs(q.z) > ZETA_CIRCLE):
         raise BadParams(f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
 
 
 def one_param_h3(s: float, t: float) -> MubSet:
     """Four bases {I, F_3, A(s,t)/sqrt3, A(-s,-t)/sqrt3} with A the circulant
     with diagonal zeta = -1/2 + s i + t j."""
-    if abs(s * s + t * t - 0.75) > 1e-9:
+    if abs(s * s + t * t - 0.75) > ZETA_CIRCLE:
         raise BadParams("(s,t) must lie on the circle s^2 + t^2 = 3/4")
     root3 = math.sqrt(3.0)
 
@@ -260,8 +268,7 @@ def _riemannian_grad(x: np.ndarray, euclid: np.ndarray) -> np.ndarray:
     return euclid - x @ (0.5 * (xg + xg.conj().T))
 
 
-def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000,
-             viol_goal: float = 1e-10):
+def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000):
     """Backtracking gradient descent over Sp(n) with a QR retraction.
 
     W and the targets stay in chi form for the whole descent; the result
@@ -276,15 +283,15 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000,
     y, dev, value = _deviations(x.full, chi_targets)
     step = 0.1
     for _ in range(max_iter):
-        if np.abs(dev).max() <= viol_goal:
+        if np.abs(dev).max() <= DESCENT_GOAL:
             break
         rgrad = _riemannian_grad(x.full, _gradient(y, dev, chi_targets))
         # the squared norm in the 4n^2 real coordinates of W: chi doubles it
         flat = rgrad.ravel().view(float)
         gnorm2 = 0.5 * float(flat @ flat)
-        if gnorm2 < 1e-30:
+        if gnorm2 < GRADIENT_FLOOR:
             break
-        while step > 1e-14:
+        while step > STEP_FLOOR:
             _cholesky_retract(x.full - step * rgrad, cand)
             cand_y, cand_dev, cand_value = _deviations(cand.full, chi_targets)
             if cand_value <= value - 0.3 * step * gnorm2:
@@ -293,7 +300,7 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000,
                 step *= 1.5
                 break
             step *= 0.5
-        else:  # no step down to 1e-14 decreased the objective
+        else:  # no step down to STEP_FLOOR decreased the objective
             break
     w = _from_chi_rows(x.even)
     return w, max(cross_gram_deviation(w, b) for b in targets)
@@ -413,18 +420,20 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
     resolution; each family matrix is pushed through the stabilizer moves
     of the (I, F_3) pair (cyclic row shifts and clock-phase row scalings)
     and entrywise conjugations by e^{i theta} and j e^{i theta}.  A
-    candidate within 1e-3 of unbiasedness to the whole set is polished by
-    local descent and accepted only below 1e-9.  Candidates are scanned in
-    a fixed order (family, grid point, move, conjugation angle), so the
-    first hit is deterministic.  Returns None when the sweep is exhausted,
-    which is maximality evidence at this resolution only.
+    candidate within NEAR_MISS of unbiasedness to the whole set is polished
+    by local descent and accepted only within UNBIASED.  Candidates are
+    scanned in a fixed order (family, grid point, move, conjugation angle),
+    so the first hit is deterministic.  Returns None when the sweep is
+    exhausted, which is maximality evidence at this resolution only.
     """
+    if grid < 1 or conj_grid < 1:
+        raise WrongSize("grid and conj_grid must be >= 1")
     if mubset.n != 3:
         raise NotNormalized("extension search is implemented for n = 3")
     if len(mubset.bases) < 2:
         raise NotNormalized("need at least the identity/Fourier prefix")
-    if not mubset.bases[0].approx_eq(identity(3), 1e-9) \
-            or not mubset.bases[1].approx_eq(fourier(3), 1e-9):
+    if not mubset.bases[0].approx_eq(identity(3)) \
+            or not mubset.bases[1].approx_eq(fourier(3)):
         raise NotNormalized("set must start with the identity and Fourier bases")
     if state is None:
         state = _SearchState()
@@ -435,12 +444,11 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
     root3 = math.sqrt(3.0)
     probe = targets[2][:, 0, :] if len(targets) > 2 else targets[1][:, 0, :]
     fold = _fold_probe(probe, transforms)
-    coarse_tol = 1e-3
     # survivors are checked in blocks that grow, so an early hit stays cheap
     block = 256
 
     for _fam, batch in _family_batches(grid):
-        mask = _prefilter(batch, fold, coarse_tol + 1e-9)
+        mask = _prefilter(batch, fold, NEAR_MISS + UNBIASED)
         state.checked += mask.size
         # row-major order is the scan order: frame, move, conjugation
         nidx, midx, xidx = np.nonzero(mask)
@@ -455,12 +463,12 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
             # not kept alive through the next batch's prefilter
             devs = np.max(np.abs(qnormsq(qmat_mul(qmat_adjoint(cands), all_targets))
                                  - 1.0 / 3.0), axis=(-2, -1))
-            for pos in np.flatnonzero(devs <= coarse_tol):
-                if devs[pos] <= 1e-9:
+            for pos in np.flatnonzero(devs <= NEAR_MISS):
+                if devs[pos] <= UNBIASED:
                     return QMatrix(cands[pos])
                 state.near_misses += 1
                 polished, viol = _descend(cands[pos], targets)
-                if viol <= 1e-9:
+                if viol <= UNBIASED:
                     return QMatrix(polished)
             lo = hi
     return None

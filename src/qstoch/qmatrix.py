@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
                      ZeroInFrame)
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
+from .tol import APPROX_EQ, GROUP_BASIS, HADAMARD, ZERO_ENTRY
 
 # ---------------------------------------------------------------------------
 # array-level quaternion algebra
@@ -234,7 +235,7 @@ class QMatrix:
         """Entrywise quaternion conjugate (no transpose)."""
         return QMatrix(qconj(self.data))
 
-    def approx_eq(self, other: "QMatrix", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "QMatrix", tol: float = APPROX_EQ) -> bool:
         if self.data.shape != other.data.shape:
             return False
         return float(np.max(qnorm(self.data - other.data))) <= tol
@@ -246,12 +247,12 @@ class QMatrix:
         gram = qmat_mul(qmat_adjoint(self.data), self.data)
         return float(np.max(qnorm(gram - qmat_eye(self.cols))))
 
-    def is_symplectic(self, tol: float = 1e-9) -> bool:
+    def is_symplectic(self, tol: float = GROUP_BASIS) -> bool:
         if not self.is_square:
             return False
         return self.unitary_defect() <= tol
 
-    def is_hadamard(self, tol: float = 1e-9) -> bool:
+    def is_hadamard(self, tol: float = HADAMARD) -> bool:
         """Unit-norm entries and M*M = nI, both within tol."""
         if not self.is_square:
             return False
@@ -261,7 +262,7 @@ class QMatrix:
         gram = qmat_mul(qmat_adjoint(self.data), self.data)
         return float(np.max(qnorm(gram - n * qmat_eye(n)))) <= tol
 
-    def splits(self, tol: float = 1e-9) -> bool:
+    def splits(self, tol: float = ZERO_ENTRY) -> bool:
         """True when some PMQ is a direct sum of smaller square blocks.
 
         Rows and columns are the two sides of a bipartite graph with an edge
@@ -292,7 +293,7 @@ class QMatrix:
 
     # -- normal forms ---------------------------------------------------------
 
-    def dephase(self, tol: float = 1e-9) -> tuple["QMatrix", "MonomialTransform", "MonomialTransform"]:
+    def dephase(self) -> tuple["QMatrix", "MonomialTransform", "MonomialTransform"]:
         """Left/right unit-diagonal scaling making row 1 and column 1 real >= 0.
 
         The left diagonal is conj(M[i,0])/|M[i,0]|, which turns column 1 into
@@ -303,13 +304,13 @@ class QMatrix:
         """
         col = self.data[:, 0, :]
         row_norms = qnorm(col)
-        if np.min(row_norms) <= tol:
+        if np.min(row_norms) <= ZERO_ENTRY:
             raise ZeroInFrame("zero entry in the first column")
         left = qconj(col) / row_norms[:, None]
         m1 = qmul(left[:, None, :], self.data)
         row = m1[0, :, :]
         col_norms = qnorm(row)
-        if np.min(col_norms) <= tol:
+        if np.min(col_norms) <= ZERO_ENTRY:
             raise ZeroInFrame("zero entry in the first row")
         right = qconj(row) / col_norms[:, None]
         m2 = qmul(m1, right[None, :, :])

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnitConjugator, NotPure
-
-UNIT_TOL = 1e-9
-PURE_TOL = 1e-9
+from .tol import APPROX_EQ, DEGENERATE, PURE_PART, UNIT_NORM
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,14 @@ class Quaternion:
     def pure_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_pure(self, tol: float = PURE_TOL) -> bool:
-        return abs(self.w) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.w) <= PURE_PART
 
-    def is_unit(self, tol: float = UNIT_TOL) -> bool:
-        """|q| = 1 within tol; False when a coordinate is NaN."""
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        """|q| = 1 within UNIT_NORM; False when a coordinate is NaN."""
+        return abs(self.norm() - 1.0) <= UNIT_NORM
 
-    def approx_eq(self, other: "Quaternion", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "Quaternion", tol: float = APPROX_EQ) -> bool:
         return (self - _coerce(other)).norm() <= tol
 
     # -- conversions ------------------------------------------------------
@@ -152,7 +150,7 @@ def conjugate_by(q: Quaternion, x: Quaternion) -> Quaternion:
     """
     q, x = _coerce(q), _coerce(x)
     if not x.is_unit():
-        raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1 within {UNIT_TOL}")
+        raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1 within {UNIT_NORM}")
     return x * q * x.conjugate()
 
 
@@ -174,7 +172,7 @@ def pure_dot_cross(p: Quaternion, q: Quaternion) -> tuple[float, Quaternion]:
     return dot, cross
 
 
-def aligning_conjugator(q: Quaternion, tol: float = PURE_TOL) -> Quaternion:
+def aligning_conjugator(q: Quaternion) -> Quaternion:
     """Unit x such that x*q*x^-1 is complex with nonnegative i coordinate.
 
     Conjugation rotates the pure part; x implements the rotation taking the
@@ -182,13 +180,13 @@ def aligning_conjugator(q: Quaternion, tol: float = PURE_TOL) -> Quaternion:
     """
     q = _coerce(q)
     pn = q.pure_norm()
-    if pn <= tol:
+    if pn <= PURE_PART:
         return ONE
     vx, vy, vz = q.x / pn, q.y / pn, q.z / pn
     c = vx  # cosine of the angle to the i axis
-    if c >= 1.0 - 1e-15:
+    if c >= 1.0 - DEGENERATE:
         return ONE
-    if c <= -1.0 + 1e-15:
+    if c <= -1.0 + DEGENERATE:
         return J  # half turn about j sends i to -i
     # axis = v x i, normalized; rotation by angle arccos(c) about it maps v to i.
     ax, ay, az = 0.0, vz, -vy

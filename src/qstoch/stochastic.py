@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from .qmatrix import QMatrix
-
-BISTOCHASTIC_TOL = 1e-9
-ENTRY_FLOOR = -1e-12
+from .tol import (BFGS_GTOL, BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR,
+                  GROUP_POINT, ORTHO3_RESIDUAL, SIGMA_MIN)
 
 
 class BistochasticMatrix:
@@ -32,7 +31,7 @@ class BistochasticMatrix:
             raise NotBistochastic(f"negative entry {np.min(arr)!r}")
         rows = np.abs(arr.sum(axis=1) - 1.0)
         cols = np.abs(arr.sum(axis=0) - 1.0)
-        if max(rows.max(), cols.max()) > BISTOCHASTIC_TOL:
+        if max(rows.max(), cols.max()) > BISTOCHASTIC_SUM:
             raise NotBistochastic("row/column sums deviate from 1 beyond tolerance")
         # entries in [ENTRY_FLOOR, 0) are zeros up to rounding; their square
         # roots would be NaN
@@ -66,7 +65,7 @@ def phi(m: QMatrix) -> BistochasticMatrix:
     """Entrywise squared norm of an orthogonal/unitary/symplectic matrix."""
     if not m.is_square:
         raise NotUnitary("phi requires a square matrix")
-    if m.unitary_defect() > 1e-8:
+    if m.unitary_defect() > GROUP_POINT:
         raise NotUnitary("input is not in the unitary group within 1e-8")
     return BistochasticMatrix(m.squared_norms())
 
@@ -96,8 +95,8 @@ def ortho3_residual(b: BistochasticMatrix) -> float:
     return float((1 - x - y - z - w + x * w + y * z) ** 2 - 4 * x * y * z * w)
 
 
-def ortho3_test(b: BistochasticMatrix, tol: float = 1e-9) -> bool:
-    return abs(ortho3_residual(b)) <= tol
+def ortho3_test(b: BistochasticMatrix) -> bool:
+    return abs(ortho3_residual(b)) <= ORTHO3_RESIDUAL
 
 
 def _pair_residual(t2: np.ndarray) -> float:
@@ -174,7 +173,7 @@ def sigma_pair_minima(b: BistochasticMatrix) -> list[tuple[str, int, int, float]
     return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
 
 
-def sigma_check(b: BistochasticMatrix, tol: float = 1e-9) -> bool:
+def sigma_check(b: BistochasticMatrix, tol: float = SIGMA_MIN) -> bool:
     """True when every pair of rows and columns admits a vanishing signing."""
     return all(m <= tol for _, _, _, m in sigma_pair_minima(b))
 
@@ -186,7 +185,7 @@ def sigma_check(b: BistochasticMatrix, tol: float = 1e-9) -> bool:
 _BRUTE_MAX_N = 5
 
 
-def orthostochastic_bruteforce(b: BistochasticMatrix, tol: float = 1e-8):
+def orthostochastic_bruteforce(b: BistochasticMatrix):
     """Search sign patterns making sqrt(B) orthogonal; None when there is none.
 
     Fixing the first row and column to +1 loses nothing: signs of an
@@ -194,15 +193,15 @@ def orthostochastic_bruteforce(b: BistochasticMatrix, tol: float = 1e-8):
     entry is immaterial, so it is kept +1.  Patterns are completed column
     by column: a candidate column (first sign +1) survives only when its
     inner product with every placed column, and its squared norm minus 1,
-    are within tol.  Of the complete patterns the one returned is the first
-    in the scan order where bit (r-1)(n-1)+(c-1) of the index is the sign
-    of entry (r, c), so the result is deterministic.
+    are within BRUTE_GRAM.  Of the complete patterns the one returned is
+    the first in the scan order where bit (r-1)(n-1)+(c-1) of the index is
+    the sign of entry (r, c), so the result is deterministic.
     """
     n = b.n
     if n > _BRUTE_MAX_N:
         raise TooLarge(f"pattern search capped at n = {_BRUTE_MAX_N}")
     root = np.sqrt(b.mat)
-    if not abs(root[:, 0] @ root[:, 0] - 1.0) <= tol:
+    if not abs(root[:, 0] @ root[:, 0] - 1.0) <= BRUTE_GRAM:
         return None
     flips = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     row_bit = (n - 1) * np.arange(n - 1)  # index bit of entry (r, 1), r >= 1
@@ -212,9 +211,9 @@ def orthostochastic_bruteforce(b: BistochasticMatrix, tol: float = 1e-8):
         # flipping a zero entry changes no inner product, only the index
         f = flips[~(flips & (root[1:, c] == 0.0)).any(axis=1)]
         cand = root[:, c] * np.hstack([np.ones((len(f), 1)), 1.0 - 2.0 * f])
-        norm_ok = np.abs(np.einsum("kr,kr->k", cand, cand) - 1.0) <= tol
+        norm_ok = np.abs(np.einsum("kr,kr->k", cand, cand) - 1.0) <= BRUTE_GRAM
         inner = np.einsum("prc,kr->pkc", placed, cand)
-        p, q = np.nonzero((np.abs(inner) <= tol).all(axis=2) & norm_ok)
+        p, q = np.nonzero((np.abs(inner) <= BRUTE_GRAM).all(axis=2) & norm_ok)
         if p.size == 0:
             return None
         placed = np.concatenate([placed[p], cand[q, :, None]], axis=2)
@@ -359,7 +358,7 @@ def distance_j3_report(restarts: int = 100, seed: int = 0) -> DistanceResult:
     for _ in range(restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=3)
         res = minimize(_j3_objective, x0, jac=True, method="BFGS",
-                       options={"gtol": 1e-10, "maxiter": 500})
+                       options={"gtol": BFGS_GTOL, "maxiter": 500})
         total_iter += int(res.nit)
         if res.fun < best_f:
             best_f = float(res.fun)

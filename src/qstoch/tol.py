@@ -1,0 +1,91 @@
+"""Every threshold qstoch compares a residual with, each named once.
+
+The comment above a constant names the quantity it bounds, and so its
+unit.  A check passes when that quantity is at most the constant, unless
+the comment says otherwise.
+"""
+
+# -- group membership: the max entry norm of M*M - I ---------------------------
+
+# M*M - I of a point that phi, jacobian and is_unbiased accept
+GROUP_POINT = 1e-8
+# M*M - I of a MubSet basis; the default of is_symplectic and verify-symplectic
+GROUP_BASIS = 1e-9
+# | |m_ij| - 1 | and the max entry norm of M*M - nI of a Hadamard matrix
+HADAMARD = 1e-9
+
+# -- entry and coordinate size -------------------------------------------------
+
+# | |q| - 1 | of a quaternion taken as unit
+UNIT_NORM = 1e-9
+# |Re q| of a quaternion taken as pure, and |Im q| of one taken as real
+PURE_PART = 1e-9
+# max entry norm of the difference of two quaternions or matrices taken as equal
+APPROX_EQ = 1e-9
+# largest coordinate outside R (map r) or C (map c) of a Jacobian point
+SCALAR_FIELD = 1e-9
+# entry norm at or below which dephase, splits and classify take an entry as 0
+ZERO_ENTRY = 1e-9
+
+# -- squared-norm deviation: max | |(A*B)_ij|^2 - 1/n | ------------------------
+
+# deviation of an unbiased pair of bases
+UNBIASED = 1e-9
+# deviation of a candidate worth polishing; mub maximality exits 0 at or above it
+NEAR_MISS = 1e-3
+# deviation at which the descent over Sp(n) stops
+DESCENT_GOAL = 1e-10
+
+# -- bistochastic matrices -----------------------------------------------------
+
+# | row or column sum - 1 |
+BISTOCHASTIC_SUM = 1e-9
+# lowest entry accepted, and then rounded up to 0 (a lower bound, not a size)
+ENTRY_FLOOR = -1e-12
+
+# -- sign sums -----------------------------------------------------------------
+
+# min over signs of |sum_k s_k sqrt(b_ki b_kj)| for a row or column pair in Sigma_n
+SIGMA_MIN = 1e-9
+# |inner product| and | squared norm - 1 | of the columns of a signed sqrt(B)
+BRUTE_GRAM = 1e-8
+
+# -- the n = 3 orthostochastic equation ----------------------------------------
+
+# |(1-x-y-z-w+xw+yz)^2 - 4xyzw| of an orthostochastic 3x3 matrix
+ORTHO3_RESIDUAL = 1e-9
+
+# -- singular values and the classify cross-check ------------------------------
+
+# singular value over sigma_max * max(rows, cols) below which it adds no rank
+RANK_RATIO = 1e-10
+# ratio: entry norms in (ZERO_ENTRY, ZERO_BAND * ZERO_ENTRY) leave the pattern undecided
+ZERO_BAND = 1000.0
+# coordinate of a reduced 3x3 matrix taken as 0: j, k after reduction, i if critical
+REDUCED_ZERO = 1e-7
+# largest i coordinate of a reduced 3x3 matrix at or above which it is regular
+REDUCED_REGULAR = 1e-4
+
+# -- 3x3 family parameters -----------------------------------------------------
+
+# |p(a,s,t)| at or below which a special family takes over from the generic one
+P_FLOOR = 1e-6
+# |s^2 + t^2 - 3/4|, |Re zeta + 1/2| and |k coordinate| of zeta = -1/2 + s i + t j
+ZETA_CIRCLE = 1e-9
+# largest constraint residual of a 3x3 family member; verify_family3's default
+FAMILY_RESIDUAL = 1e-9
+# angle in radians at or below which two roots of phi on the circle are one
+ROOT_MERGE = 1e-9
+# |1 + a| at or below which generic4's a is the pole a = -1
+A_POLE = 1e-9
+
+# -- solver floors -------------------------------------------------------------
+
+# descent step length at or below which no step decreased the objective
+STEP_FLOOR = 1e-14
+# squared Riemannian gradient norm below which the descent stops
+GRADIENT_FLOOR = 1e-30
+# BFGS gradient norm (scipy gtol) at which the J_3 distance search stops
+BFGS_GTOL = 1e-10
+# distance of a cosine from +-1, or size of the phi amplitude, taken as degenerate
+DEGENERATE = 1e-15

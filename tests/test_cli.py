@@ -11,7 +11,7 @@ import pytest
 import qstoch
 from qstoch.cli import main
 from qstoch.hadamard import verify_family3
-from qstoch.mub import complete_mub_h2, write_mubset
+from qstoch.mub import MubSet, complete_mub_h2, write_mubset
 from qstoch.qmatrix import (fourier, identity, random_symplectic,
                             read_matrix_text, write_qmat, write_rmat)
 from qstoch.stochastic import van_der_waerden
@@ -83,6 +83,15 @@ class TestStochasticCommands:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "index,residual"
         assert len(out.splitlines()) == 13
+        # near J_4 the poly residuals shrink like distance^3 (all <= 6.25e-14
+        # here), but the matrix is not orthostochastic
+        near = van_der_waerden(4).mat + 1e-3 * np.array(
+            [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        path = tmp_path / "near_j4.rmat"
+        path.write_text(write_rmat(near))
+        assert main(["sigma", str(path)]) == 1
+        assert main(["sigma", "--poly", str(path)]) == 1
+        assert main(["bruteforce-ortho", str(path)]) == 1
 
     def test_bruteforce(self, workdir, capsys):
         _, files = workdir
@@ -377,6 +386,17 @@ class TestMubCommands:
             "0.15123230964001869,0.52143707642330372) "
             "(0.2042968107499237,0.33786184212166837,0.30715869857463868,"
             "-0.28826906871676305)\n")
+
+    @pytest.mark.parametrize("grid", [["--grid", "0"], ["--grid", "-3"],
+                                      ["--conj-grid", "0"]])
+    def test_extend_needs_a_grid_point(self, grid, capsys, tmp_path):
+        path = tmp_path / "pair.mub"
+        path.write_text(write_mubset(MubSet(3, (identity(3), fourier(3)))))
+        assert main(["mub", "extend", str(path), "--grid", "4",
+                     "--conj-grid", "2", *grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid and conj_grid must be >= 1\n"
 
     def test_maximality_on_complete_set(self, capsys, tmp_path):
         path = tmp_path / "h2.mub"

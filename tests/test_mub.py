@@ -324,6 +324,12 @@ class TestSearches:
         with pytest.raises(WrongSize, match="restarts must be >= 1"):
             direct_maximality_search(complete_mub_h2(), restarts=restarts)
 
+    @pytest.mark.parametrize("grid, conj_grid", [(0, 2), (-3, 2), (4, 0)])
+    def test_extend_search_needs_a_grid_point(self, grid, conj_grid):
+        s = MubSet(3, (identity(3), fourier(3)))
+        with pytest.raises(WrongSize, match="grid and conj_grid must be >= 1"):
+            extend_search(s, grid=grid, conj_grid=conj_grid)
+
     def test_direct_search_deterministic(self):
         s = MubSet(2, (identity(2), h_basis(ONE)))
         v1, w1 = direct_maximality_search(s, restarts=5, seed=7)

@@ -1,0 +1,45 @@
+"""The tolerance policy: every threshold is a named float in qstoch.tol."""
+
+import ast
+import re
+import tokenize
+from pathlib import Path
+
+import qstoch
+from qstoch import tol
+
+SRC = Path(qstoch.__file__).parent
+E_NOTATION = re.compile(r"^[0-9.]+[eE][-+]?[0-9]+$")
+# the Hurwitz-Radon weights' tie-breaking jitter is data, not a tolerance
+ALLOWED = {("stochastic.py", "jitter = 1.0 + 1e-10 * rng.random(15)")}
+
+
+def test_no_e_notation_literal_outside_tol():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tol.py":
+            continue
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NUMBER and E_NOTATION.match(tok.string):
+                    if (path.name, tok.line.strip()) not in ALLOWED:
+                        found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
+
+
+def test_tol_defines_only_float_constants():
+    tree = ast.parse((SRC / "tol.py").read_text())
+    doc, *body = tree.body
+    assert isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+    for node in body:
+        assert isinstance(node, ast.Assign), ast.dump(node)
+        (target,) = node.targets
+        assert isinstance(target, ast.Name) and target.id.isupper()
+        value = node.value
+        if isinstance(value, ast.UnaryOp):
+            assert isinstance(value.op, ast.USub)
+            value = value.operand
+        assert isinstance(value, ast.Constant) and type(value.value) is float
+    names = [n for n in vars(tol) if not n.startswith("__")]
+    assert len(names) == len(body)
+    assert all(type(getattr(tol, n)) is float for n in names)
