@@ -15,6 +15,7 @@ import time
 from types import SimpleNamespace
 
 from qstoch.mub import direct_maximality_search, extend_search, one_param_h3
+from qstoch.tol import NEAR_MISS
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
     viol, _ = direct_maximality_search(mubset, args.restarts, args.seed)
     print(f"direct search: best violation {viol:.3e} over {args.restarts} "
           f"restarts ({time.time() - mid:.1f}s)")
-    if found is None and viol >= 1e-3:
+    if found is None and viol >= NEAR_MISS:
         print(f"no extension at grid={args.grid} conj_grid={args.conj_grid}; "
               "evidence of maximality at this resolution")
     else:

@@ -115,7 +115,7 @@ def _check_point(map_kind: str, p: QMatrix) -> None:
     if map_kind == "c" and p.max_jk() > SCALAR_FIELD:
         raise WrongScalarField("map c needs a complex matrix")
     if p.unitary_defect() > GROUP_POINT:
-        raise NotInGroup("point is not in the group within 1e-8")
+        raise NotInGroup(f"point is not in the group within {GROUP_POINT}")
 
 
 def _real_dot(p: np.ndarray, t: np.ndarray) -> np.ndarray:

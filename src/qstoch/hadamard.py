@@ -12,7 +12,7 @@ with z = -1/2 + s*i + t*j on the circle s^2 + t^2 = 3/4; such a frame is
 automatically Hadamard, and the families pin down which (a, b, z) are also
 unbiased to the Fourier matrix.  Array-valued builders (suffix _arr) power
 the grid sweeps in the MUB search; family3_matrix, p_value, generic3 and
-special3 are their one-row case.
+special3 are their one-row case.  The builders return (a, b, zeta) rows.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def p_value(a: Quaternion, s: float, t: float) -> float:
 
 def family3_matrix(a: Quaternion, b: Quaternion, zeta: Quaternion) -> QMatrix:
     """The shared 3x3 Hadamard frame for the six families."""
-    return QMatrix(family3_matrix_arr(a.as_array(), b.as_array(),
-                                      zeta.as_array()))
+    return QMatrix(family3_matrix_arr(np.stack([q.as_array() for q in (a, b, zeta)])))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +148,10 @@ def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
     roots = np.sort(thetas[valid])
     roots = roots[np.diff(roots, prepend=-1.0) > ROOT_MERGE]
     theta = roots[0] if branch == "+" or len(roots) == 1 else roots[1]
-    frames, ok = generic3_arr(arr, np.array([theta]))
+    rows, ok = generic3_arr(arr, np.array([theta]))
     if not ok[0]:
         raise DegenerateP("p(a,s,t) vanishes at the selected root")
-    return QMatrix(frames[0])
+    return QMatrix(family3_matrix_arr(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +203,9 @@ def special3_arr(family_id: str, params, variants):
     """Members of a special family for a batch of parameter rows.
 
     params is (N, k) with one row per member, variants (N,) the sign
-    variants (see special3).  Returns the (N,3,3,4) frames and a mask that
-    is False where special3 raises NoRealSolution; those rows are not
-    family members.
+    variants (see special3).  Returns the (N,3,4) rows (a, b, zeta) and a
+    mask that is False where special3 raises NoRealSolution; those rows are
+    not family members.
     """
     if family_id not in _SPECIAL_PARAMS:
         raise BadParams(f"unknown special family {family_id!r}")
@@ -267,7 +266,7 @@ def special3_arr(family_id: str, params, variants):
                            _quat(-a2 / a3, 1.0 / (2.0 * a3), 0.0, 1.0)], axis=-1)
             b0 = _quat(-0.5, (1.0 - a1) / (2.0 * a2), 0.0, 0.0)
             b, ok = _ellipse_solution(b0, bw, psi, ok)
-        return family3_matrix_arr(a, b, zeta), ok
+        return np.stack(np.broadcast_arrays(a, b, zeta), axis=-2), ok
 
 
 def special3(family_id: str, params, variant: int = 0) -> QMatrix:
@@ -283,11 +282,11 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
     NoRealSolution signals an infeasible sign combination.  This is the
     one-row case of special3_arr.
     """
-    frames, ok = special3_arr(family_id, [tuple(params)], [variant])
+    rows, ok = special3_arr(family_id, [tuple(params)], [variant])
     if not ok[0]:
         raise NoRealSolution(f"{family_id} has no real member for these "
                              "parameters and signs")
-    return QMatrix(frames[0])
+    return QMatrix(family3_matrix_arr(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +304,6 @@ def read_family3(m: QMatrix) -> tuple[Quaternion, Quaternion, Quaternion]:
     return a, b, zeta
 
 
-def _frame_residual(m: QMatrix, a: Quaternion, b: Quaternion,
-                    zeta: Quaternion) -> float:
-    frame = family3_matrix(a, b, zeta)
-    return float(np.max(np.abs(m.data - frame.data)))
-
-
 def verify_family3(m: QMatrix, family_id: str,
                    tol: float = FAMILY_RESIDUAL) -> bool:
     """Check the defining constraints of the named family on the parameters
@@ -322,7 +315,7 @@ def verify_family3(m: QMatrix, family_id: str,
     checks = [
         abs(a.norm() - 1.0), abs(b.norm() - 1.0), abs(zeta.norm() - 1.0),
         abs(zeta.w + 0.5), abs(zeta.z),
-        _frame_residual(m, a, b, zeta),
+        float(np.max(np.abs(m.data - family3_matrix(a, b, zeta).data))),
     ]
     if max(checks) > tol:
         return False
@@ -438,35 +431,27 @@ def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
     return _SIGNS * np.stack(rows, axis=-2), v
 
 
-def family3_matrix_arr(a: np.ndarray, b: np.ndarray,
-                       zeta: np.ndarray) -> np.ndarray:
-    """Family frames for (...,4) arrays a, b and zeta, shape (...,3,3,4);
-    the zeta^2 entries are (a*zeta)*zeta and (b*zeta)*zeta."""
-    lead = np.broadcast_shapes(a.shape, b.shape, zeta.shape)[:-1]
-    out = np.empty(lead + (3, 3, 4))
+def family3_matrix_arr(rows: np.ndarray) -> np.ndarray:
+    """Family frames for a (...,3,4) array of rows (a, b, zeta), shape
+    (...,3,3,4); the zeta^2 entries are (a*zeta)*zeta and (b*zeta)*zeta."""
+    ab, zeta = rows[..., :2, :], rows[..., 2:, :]
+    out = np.empty(rows.shape[:-2] + (3, 3, 4))
     out[..., 0, :, :] = [1.0, 0.0, 0.0, 0.0]
-    out[..., 1, 0, :] = a
-    out[..., 1, 1, :] = qmul(a, zeta)
-    out[..., 1, 2, :] = qmul(out[..., 1, 1, :], zeta)
-    out[..., 2, 0, :] = b
-    out[..., 2, 2, :] = qmul(b, zeta)
-    out[..., 2, 1, :] = qmul(out[..., 2, 2, :], zeta)
+    out[..., 1:, 0, :] = ab
+    out[..., [1, 2], [1, 2], :] = once = qmul(ab, zeta)
+    out[..., [1, 2], [2, 1], :] = qmul(once, zeta)
     return out
 
 
 def _zeta_arr(theta: np.ndarray) -> np.ndarray:
-    out = np.zeros(theta.shape + (4,))
-    out[..., 0] = -0.5
-    out[..., 1] = R32 * np.cos(theta)
-    out[..., 2] = R32 * np.sin(theta)
-    return out
+    return _quat(-0.5, R32 * np.cos(theta), R32 * np.sin(theta), 0.0)
 
 
 def generic3_arr(a: np.ndarray, theta: np.ndarray):
     """Members of the generic family for base points a (N,4) and roots
     theta (N,) of phi on the circle: zeta = -1/2 + (sqrt3/2)(cos theta i +
     sin theta j), and the third row b solves the unbiasedness system.
-    Returns the (M,3,3,4) frames of the rows where |p| > P_FLOOR, and that
+    Returns the (M,3,4) rows (a, b, zeta) where |p| > P_FLOOR, and that
     (N,) mask; past the floor the system determinant d5 = 3 p^2 is nonzero.
     """
     zeta = _zeta_arr(theta)
@@ -474,41 +459,48 @@ def generic3_arr(a: np.ndarray, theta: np.ndarray):
     a, zeta = a[ok], zeta[ok]
     b_mat, v = mub3_system_arr(a, zeta)
     b = np.linalg.solve(b_mat, v[:, :, None])[:, :, 0]
-    return family3_matrix_arr(a, b, zeta), ok
+    return np.stack([a, b, zeta], axis=-2), ok
 
 
 def generic_family_chunks(resolution: int, chunk_size: int = 8192):
-    """Yield (N,3,3,4) batches sweeping the generic family.
+    """Yield (N,3,3,4) batches of frames sweeping the generic family."""
+    yield from map(family3_matrix_arr, generic_family_rows(resolution, chunk_size))
+
+
+def generic_family_rows(resolution: int, chunk_size: int = 8192):
+    """Yield (N,3,4) batches of (a, b, zeta) rows sweeping the generic
+    family, one per chunk_size grid points.
 
     The base point a runs over a resolution^3 Euler grid on the unit
     3-sphere (offset to avoid poles); each grid point contributes its
     analytic phi roots with p above P_FLOOR.
     """
     res = int(resolution)
-    chi = (np.arange(res) + 0.5) * np.pi / res
-    eta = (np.arange(res) + 0.5) * np.pi / res
+    chi = eta = (np.arange(res) + 0.5) * np.pi / res
     xi = np.arange(res) * 2.0 * np.pi / res
     grid = np.stack(np.meshgrid(chi, eta, xi, indexing="ij"), axis=-1).reshape(-1, 3)
     for start in range(0, grid.shape[0], chunk_size):
         block = grid[start:start + chunk_size]
-        c1, e1, x1 = block[:, 0], block[:, 1], block[:, 2]
-        a = np.stack([
-            np.cos(c1),
-            np.sin(c1) * np.cos(e1),
-            np.sin(c1) * np.sin(e1) * np.cos(x1),
-            np.sin(c1) * np.sin(e1) * np.sin(x1),
-        ], axis=1)
+        c1, e1, x1 = block.T
+        a = _quat(np.cos(c1), np.sin(c1) * np.cos(e1),
+                  np.sin(c1) * np.sin(e1) * np.cos(x1),
+                  np.sin(c1) * np.sin(e1) * np.sin(x1))
         thetas, valid = phi_circle_roots_arr(a)
-        frames, _ = generic3_arr(np.repeat(a, 4, axis=0)[valid.ravel()],
-                                 thetas[valid])
-        if len(frames):
-            yield frames
+        rows, _ = generic3_arr(np.repeat(a, 4, axis=0)[valid.ravel()],
+                               thetas[valid])
+        if len(rows):
+            yield rows
 
 
 def special_family_points(family_id: str, resolution: int) -> np.ndarray:
+    """The frames of special_family_rows, shape (N,3,3,4)."""
+    return family3_matrix_arr(special_family_rows(family_id, resolution))
+
+
+def special_family_rows(family_id: str, resolution: int) -> np.ndarray:
     """All grid points of a special family at the given per-axis resolution,
-    as an (N,3,3,4) array ordered by (variant, first parameter, second
-    parameter).  Infeasible sign combinations are skipped."""
+    as (N,3,4) rows (a, b, zeta) ordered by (variant, first parameter,
+    second parameter).  Infeasible sign combinations are skipped."""
     res = int(resolution)
     angles = np.arange(res) * 2.0 * np.pi / res
     axes = {"s1": [(0,), angles, angles], "s2": [(0, 1), angles, angles],
@@ -518,5 +510,5 @@ def special_family_points(family_id: str, resolution: int) -> np.ndarray:
         raise BadParams(f"unknown special family {family_id!r}")
     variant, *params = (g.ravel() for g in np.meshgrid(
         *(np.asarray(ax) for ax in axes[family_id]), indexing="ij"))
-    frames, ok = special3_arr(family_id, np.stack(params, axis=1), variant)
-    return frames[ok]
+    rows, ok = special3_arr(family_id, np.stack(params, axis=1), variant)
+    return rows[ok]

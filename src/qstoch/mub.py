@@ -10,9 +10,11 @@ direct descent search used to cross-check maximality claims.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +46,7 @@ def is_unbiased(a: QMatrix, b: QMatrix, tol: float = UNBIASED) -> bool:
         raise DimensionMismatch("unbiasedness needs two square matrices of one size")
     for m in (a, b):
         if m.unitary_defect() > GROUP_POINT:
-            raise NotSymplectic("bases must be symplectic within 1e-8")
+            raise NotSymplectic(f"bases must be symplectic within {GROUP_POINT}")
     return cross_gram_deviation(a.data, b.data) <= tol
 
 
@@ -58,7 +60,7 @@ def check_bases(n: int, bases) -> float:
         if b.rows != n or b.cols != n:
             raise DimensionMismatch("all bases must be n x n")
         if b.unitary_defect() > GROUP_BASIS:
-            raise NotSymplectic("basis fails the symplectic check at 1e-9")
+            raise NotSymplectic(f"basis fails the symplectic check at {GROUP_BASIS}")
     worst = 0.0
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
@@ -356,7 +358,9 @@ _W_POWS = np.array([[1.0, 0.0, 0.0, 0.0], hadamard.OMEGA.as_array(),
 # row shift by m, then left multiplication of row r by omega^(p r)
 _MOVES = np.array([(m, p) for m in range(3) for p in range(3)])
 _ROWS = np.arange(3)
-_SURVIVOR_BATCH = 1 << 15
+_SURVIVOR_BATCH = 1 << 14
+_BATCH = 4096
+_TRI = np.triu_indices(9)
 
 
 def _moved_frames(batch: np.ndarray, frames: np.ndarray,
@@ -367,53 +371,55 @@ def _moved_frames(batch: np.ndarray, frames: np.ndarray,
     return qmul(_W_POWS[(zpow[:, None] * _ROWS) % 3][:, :, None, :], rows)
 
 
-def _fold_probe(probe: np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """The prefilter as one matrix, shape (12, 4, 9, X).
+def _prefilter_weights(probe: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """The prefilter as a quadratic form, weights (45, 9 X).
 
     For a frame with first column f, move (m, p) and conjugation T_x, the
     prefilter tests |sum_k T_x(conj c_k) p_k| with c_k = omega^(p k) f_(k+m)
     and p the probe.  T_x is an inner automorphism, so this equals
     |sum_r conj(f_r) P_r| with P_r = conj(omega^(p k)) T_x^-1(p_k) and
-    k = r - m mod 3: moves and conjugations act on the probe alone.  Entry
-    (r, d, c, move, x) is coordinate c of e_d P_r.
-    """
+    k = r - m mod 3: moves and conjugations act on the probe alone.  Its
+    square over 3 is h^T M h in the 9 coordinates h of f = (1, a, b) not
+    fixed at 0; the weight of the monomial h_k h_l, k <= l, is M_kl, doubled
+    off the diagonal."""
     k = (_ROWS - _MOVES[:, :1]) % 3
     scale = qconj(_W_POWS[(_MOVES[:, 1:] * k) % 3])
     back = np.einsum("xdc,kd->xkc", transforms, probe)  # T_x^-1(p_k)
     folded = qmul(scale[:, None], np.swapaxes(back[:, k], 0, 1))
-    right = qmul(np.eye(4)[:, None, None, None, :], folded)  # (d, move, x, r, c)
-    return right.transpose(3, 0, 4, 1, 2).reshape((12, 4) + folded.shape[:2])
+    # (d, move, x, r, c): conj(e_d) P_r, the term of conj(f_r) P_r in f_rd
+    right = qmul(qconj(np.eye(4))[:, None, None, None, :], folded)
+    fold = right.transpose(3, 0, 4, 1, 2).reshape((12, 4, -1))[np.r_[0, 4:12]]
+    form = np.einsum("kcx,lcx->klx", fold, fold) * (2.0 - np.eye(9))[..., None]
+    return form[_TRI] / 3.0
 
 
-def _prefilter(batch: np.ndarray, fold: np.ndarray, tol: float) -> np.ndarray:
-    """Survivor mask (N, 9, X) of the first cross inner product test."""
-    n = len(batch)
-    inner = qconj(batch[:, :, 0, :]).reshape(n, 12) @ fold.reshape(12, -1)
-    norms = np.square(inner, out=inner).reshape((n,) + fold.shape[1:]).sum(axis=1)
-    # |norms / 3 - 1 / 3| in place: the sweep's peak memory is this function's
-    np.abs(np.subtract(np.divide(norms, 3.0, out=norms), 1.0 / 3.0, out=norms),
-           out=norms)
-    return norms <= tol
+def _prefilter(rows: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
+    """Survivor mask (N, 9, X) of the first cross inner product test, for
+    the (N, 3, 4) rows (a, b, zeta) of N frames."""
+    n = len(rows)
+    # h^T, so that each monomial is a product of two contiguous rows
+    h = np.concatenate([np.ones((1, n)), rows[:, :2].reshape(n, 8).T])
+    norms = (h[_TRI[0]] * h[_TRI[1]]).T @ weights
+    np.abs(np.subtract(norms, 1.0 / 3.0, out=norms), out=norms)
+    return (norms <= tol).reshape(n, 9, -1)
 
 
-@dataclass
-class _SearchState:
-    checked: int = 0
-    near_misses: int = 0
-
-
-def _family_batches(grid: int, chunk: int = 4096):
-    for batch in hadamard.generic_family_chunks(grid, chunk_size=chunk):
-        for start in range(0, batch.shape[0], chunk):
-            yield "generic", batch[start:start + chunk]
-    for fam in ("s1", "s2", "s3", "s4", "s5"):
-        pts = hadamard.special_family_points(fam, grid)
-        for start in range(0, pts.shape[0], chunk):
-            yield fam, pts[start:start + chunk]
+@functools.lru_cache(maxsize=1)
+def _sweep_table(grid: int):
+    """The read-only (a, b, zeta) rows of every family member at this grid in
+    scan order, and the bounds of the sweep's batches: at most _BATCH rows,
+    none across a family or a chunk of _BATCH generic grid points."""
+    parts = list(hadamard.generic_family_rows(grid, chunk_size=_BATCH))
+    parts += [hadamard.special_family_rows(f, grid) for f in hadamard.FAMILY_IDS[1:]]
+    rows = np.concatenate(parts)
+    bounds = np.cumsum([0] + [min(_BATCH, len(p) - lo) for p in parts
+                              for lo in range(0, len(p), _BATCH)])
+    rows.flags.writeable = bounds.flags.writeable = False
+    return rows, bounds
 
 
 def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
-                  state: _SearchState | None = None) -> QMatrix | None:
+                  state: SimpleNamespace | None = None) -> QMatrix | None:
     """Grid search for a basis extending a normalized 3x3 set.
 
     Sweeps the six third-basis families at the given per-parameter grid
@@ -436,29 +442,31 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
             or not mubset.bases[1].approx_eq(fourier(3)):
         raise NotNormalized("set must start with the identity and Fourier bases")
     if state is None:
-        state = _SearchState()
+        state = SimpleNamespace(checked=0, near_misses=0)
     targets = [b.data for b in mubset.bases]
     # [B_1 ... B_T] side by side: one product checks a candidate against all
     all_targets = np.concatenate(targets, axis=1)
     transforms = _conj_transforms(conj_grid)
-    root3 = math.sqrt(3.0)
     probe = targets[2][:, 0, :] if len(targets) > 2 else targets[1][:, 0, :]
-    fold = _fold_probe(probe, transforms)
+    weights = _prefilter_weights(probe, transforms)
+    table, bounds = _sweep_table(grid)
     # survivors are checked in blocks that grow, so an early hit stays cheap
     block = 256
 
-    for _fam, batch in _family_batches(grid):
-        mask = _prefilter(batch, fold, NEAR_MISS + UNBIASED)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        mask = _prefilter(table[start:stop], weights, NEAR_MISS + UNBIASED)
         state.checked += mask.size
+        hit = mask.any(axis=(1, 2))
+        batch = hadamard.family3_matrix_arr(table[start:stop][hit])
         # row-major order is the scan order: frame, move, conjugation
-        nidx, midx, xidx = np.nonzero(mask)
+        nidx, midx, xidx = np.nonzero(mask[hit])
         lo = 0
         while lo < nidx.size:
             hi = min(lo + block, nidx.size)
             block = min(2 * block, _SURVIVOR_BATCH)
             cands = np.einsum("scd,sijd->sijc", transforms[xidx[lo:hi]],
                               _moved_frames(batch, nidx[lo:hi], midx[lo:hi]),
-                              optimize=True) / root3
+                              optimize=True) / math.sqrt(3.0)
             # no name holds the Gram products, so they are freed here and
             # not kept alive through the next batch's prefilter
             devs = np.max(np.abs(qnormsq(qmat_mul(qmat_adjoint(cands), all_targets))

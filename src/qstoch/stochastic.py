@@ -66,7 +66,7 @@ def phi(m: QMatrix) -> BistochasticMatrix:
     if not m.is_square:
         raise NotUnitary("phi requires a square matrix")
     if m.unitary_defect() > GROUP_POINT:
-        raise NotUnitary("input is not in the unitary group within 1e-8")
+        raise NotUnitary(f"input is not in the unitary group within {GROUP_POINT}")
     return BistochasticMatrix(m.squared_norms())
 
 

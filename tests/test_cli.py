@@ -336,6 +336,14 @@ class TestMubCommands:
         assert main(["mub", "check", files["i2.qmat"], files["i2.qmat"]]) == 1
         assert "mub=false" in capsys.readouterr().out
 
+    def test_check_quotes_the_group_threshold(self, workdir, capsys):
+        # the threshold is formatted from tol.GROUP_BASIS
+        _, files = workdir
+        assert main(["mub", "check", files["i3.qmat"], files["f3.qmat"]]) == 1
+        assert capsys.readouterr().out == (
+            "mub=false size=2 reason=basis fails the symplectic check at "
+            "1e-09\n")
+
     def test_h2_complete_output_is_valid_mubset(self, capsys, tmp_path):
         assert main(["mub", "h2-complete"]) == 0
         text = capsys.readouterr().out

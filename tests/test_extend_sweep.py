@@ -7,6 +7,7 @@ family builder that it replaced.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,16 +43,19 @@ def make_set(kind: str, grid: int) -> mub.MubSet:
 
 
 @pytest.mark.parametrize("kind", ["one_param", "three_param", "pair", "prefix3"])
-@pytest.mark.parametrize("grid,conj_grid", [(6, 4), (8, 16)])
+@pytest.mark.parametrize("grid,conj_grid", [(6, 4), (8, 16), (12, 8)])
 def test_prefilter_survivors_match_broadcast(kind, grid, conj_grid):
     targets = [b.data for b in make_set(kind, grid).bases]
     probe = targets[2][:, 0, :] if len(targets) > 2 else targets[1][:, 0, :]
     transforms = mub._conj_transforms(conj_grid)
-    fold = mub._fold_probe(probe, transforms)
+    weights = mub._prefilter_weights(probe, transforms)
+    table, bounds = mub._sweep_table(grid)
     total = 0
-    for _fam, batch in mub._family_batches(grid):
-        got = np.argwhere(mub._prefilter(batch, fold, COARSE_TOL))
-        _, want = broadcast_prefilter(batch, probe, transforms, COARSE_TOL)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rows = table[start:stop]
+        got = np.argwhere(mub._prefilter(rows, weights, COARSE_TOL))
+        _, want = broadcast_prefilter(hadamard.family3_matrix_arr(rows), probe,
+                                      transforms, COARSE_TOL)
         assert np.array_equal(got, want)
         total += len(want)
     assert total > 0
@@ -115,7 +119,7 @@ def test_special3_is_one_row_of_the_batch():
 @pytest.mark.parametrize("kind", ["pair", "prefix3"])
 def test_extend_search_matches_scan(kind):
     s = make_set(kind, 8)
-    state = mub._SearchState()
+    state = SimpleNamespace(checked=0, near_misses=0)
     found = mub.extend_search(s, 8, 16, state=state)
     want, checked, near = extend_search_loop(s, 8, 16)
     assert found is not None and want is not None
@@ -126,8 +130,44 @@ def test_extend_search_matches_scan(kind):
 @pytest.mark.parametrize("kind", ["one_param", "three_param"])
 def test_exhausted_sweep_counts_match_scan(kind):
     s = make_set(kind, 8)
-    state = mub._SearchState()
+    state = SimpleNamespace(checked=0, near_misses=0)
     assert mub.extend_search(s, 8, 16, state=state) is None
     want, checked, near = extend_search_loop(s, 8, 16)
     assert want is None
     assert (state.checked, state.near_misses) == (checked, near)
+
+
+@pytest.mark.parametrize("kind", ["pair", "one_param"])
+def test_sweep_table_follows_the_grid(kind):
+    # the table is cached for one grid at a time: 6, then 8, then 6 again
+    for grid in (6, 8, 6):
+        s = make_set(kind, grid)
+        state = SimpleNamespace(checked=0, near_misses=0)
+        found = mub.extend_search(s, grid, 4, state=state)
+        want, checked, near = extend_search_loop(s, grid, 4)
+        assert (found is None) == (want is None)
+        if want is not None:
+            assert np.max(np.abs(found.data - want)) <= 1e-12
+        assert (state.checked, state.near_misses) == (checked, near)
+
+
+def test_sweep_table_is_read_only():
+    table, bounds = mub._sweep_table(6)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        bounds[-1] = 0
+
+
+@pytest.mark.parametrize("grid", [6, 8])
+def test_sweep_table_rebuilds_the_family_frames(grid):
+    """Frames rebuilt from the table rows are the generators' frames, bit for
+    bit, and the bounds are the generators' batches cut at 4096 rows."""
+    parts = list(hadamard.generic_family_chunks(grid, chunk_size=4096))
+    parts += [hadamard.special_family_points(f, grid)
+              for f in ("s1", "s2", "s3", "s4", "s5")]
+    want = np.concatenate(parts)
+    sizes = [len(p[lo:lo + 4096]) for p in parts for lo in range(0, len(p), 4096)]
+    table, bounds = mub._sweep_table(grid)
+    assert np.array_equal(np.diff(bounds), sizes)
+    assert np.array_equal(hadamard.family3_matrix_arr(table), want)

@@ -27,6 +27,34 @@ def test_no_e_notation_literal_outside_tol():
     assert found == []
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring nodes of a module, class or function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value,
+                                                          ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def test_no_threshold_text_in_strings():
+    """Messages format a threshold from its tol.py name, so the text cannot
+    go stale when the constant changes."""
+    number = re.compile(r"[0-9][eE][-+]?[0-9]")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docs and number.search(node.value)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
+
+
 def test_tol_defines_only_float_constants():
     tree = ast.parse((SRC / "tol.py").read_text())
     doc, *body = tree.body
