@@ -21,8 +21,8 @@ def main() -> None:
     h = special4(Special4Params(QI, b))
     assert h.is_hadamard(1e-12)
     jac = jacobian("h", h / 2)
-    rank, svals, gap = rank_report(jac, tol=1e-10)
-    print(f"jacobian shape: {jac.entries.shape}")
+    rank, svals, gap = rank_report(jac)
+    print(f"jacobian shape: {jac.shape}")
     print(f"rank: {rank}  gap_ratio: {gap:.3e}")
     print("singular values:", np.array_str(svals, precision=6))
 

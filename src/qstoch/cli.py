@@ -19,7 +19,7 @@ from .qmatrix import (QMatrix, load_matrix, load_qmatrix, write_qmat,
                       write_rmat)
 from .quaternion import parse_quaternion
 from .stochastic import BistochasticMatrix
-from .tol import (GROUP_BASIS, HADAMARD, NEAR_MISS, ORTHO3_RESIDUAL, RANK_RATIO,
+from .tol import (GROUP, HADAMARD, NEAR_MISS, ORTHO3_RESIDUAL, RANK_RATIO,
                   SIGMA_MIN, ZERO_ENTRY)
 
 EXIT_TRUE = 0
@@ -63,8 +63,7 @@ def _cmd_verify_symplectic(args) -> int:
 
 
 def _cmd_dephase(args) -> int:
-    result, _, _ = load_qmatrix(args.file).dephase()
-    sys.stdout.write(write_qmat(result))
+    sys.stdout.write(write_qmat(load_qmatrix(args.file).dephase()))
     return EXIT_TRUE
 
 
@@ -76,7 +75,7 @@ def _cmd_splits(args) -> int:
 
 def _cmd_jacobian(args) -> int:
     jac = differential.jacobian(args.map, load_qmatrix(args.file))
-    sys.stdout.write(write_rmat(jac.entries))
+    sys.stdout.write(write_rmat(jac))
     return EXIT_TRUE
 
 
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-symplectic")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=GROUP_BASIS)
+    p.add_argument("--tol", type=_tolerance, default=GROUP)
     p.set_defaults(func=_cmd_verify_symplectic)
 
     p = sub.add_parser("dephase")
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify")
     p.add_argument("--map", choices=differential.MAP_KINDS, required=True)
     p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_classify, tol=RANK_RATIO, cross_check="auto")
+    p.set_defaults(func=_cmd_classify, tol=RANK_RATIO, cross_check=True)
 
     p = sub.add_parser("ortho3")
     p.add_argument("file")

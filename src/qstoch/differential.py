@@ -25,8 +25,8 @@ from .errors import (InternalInconsistency, NotInGroup, UnsupportedSize,
                      WrongScalarField, WrongSize)
 from .qmatrix import QMatrix, haar_orthogonal, qmul
 from .quaternion import aligning_conjugator
-from .tol import (GROUP_POINT, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO,
-                  SCALAR_FIELD, ZERO_BAND, ZERO_ENTRY)
+from .tol import (GROUP, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO, SCALAR_FIELD,
+                  ZERO_BAND, ZERO_ENTRY)
 
 MAP_KINDS = ("r", "c", "h")
 
@@ -93,29 +93,15 @@ def tangent_generators(map_kind: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    map_kind: str
-    n: int
-    entries: np.ndarray  # shape ((n-1)^2, dim)
-
-    def __post_init__(self):
-        expected = (codomain_dim(self.n), domain_dim(self.map_kind, self.n))
-        if self.entries.shape != expected:
-            raise WrongSize(f"jacobian entries must have shape {expected}")
-
-
 def _check_point(map_kind: str, p: QMatrix) -> None:
     if map_kind not in MAP_KINDS:
         raise WrongSize(f"unknown map kind {map_kind!r}")
-    if not p.is_square:
-        raise NotInGroup("group points are square")
     if map_kind == "r" and p.max_imag() > SCALAR_FIELD:
         raise WrongScalarField("map r needs a real matrix")
     if map_kind == "c" and p.max_jk() > SCALAR_FIELD:
         raise WrongScalarField("map c needs a complex matrix")
-    if p.unitary_defect() > GROUP_POINT:
-        raise NotInGroup(f"point is not in the group within {GROUP_POINT}")
+    if not p.is_symplectic():
+        raise NotInGroup(f"point is not in the group within {GROUP}")
 
 
 def _real_dot(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -124,8 +110,9 @@ def _real_dot(p: np.ndarray, t: np.ndarray) -> np.ndarray:
             + p[..., 2] * t[..., 2] + p[..., 3] * t[..., 3])
 
 
-def jacobian(map_kind: str, p: QMatrix) -> JacobianMatrix:
-    """Differential of the squared-norm map at p in the explicit bases."""
+def jacobian(map_kind: str, p: QMatrix) -> np.ndarray:
+    """Differential of the squared-norm map at p in the explicit bases, a
+    ((n-1)^2, dim) array."""
     _check_point(map_kind, p)
     n = p.rows
     pd = p.data
@@ -138,23 +125,14 @@ def jacobian(map_kind: str, p: QMatrix) -> JacobianMatrix:
     image = np.zeros((u.size, n, n))
     image[g, j] = _real_dot(pd[j], qmul(e_ji, pd[i]))
     image[g, i] = _real_dot(pd[i], qmul(e_ij, pd[j]))
-    return JacobianMatrix(map_kind, n, b_coordinates(image).T)
+    return b_coordinates(image).T
 
 
-def _entries_of(j) -> np.ndarray:
-    return j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=float)
-
-
-def numerical_rank(j, tol: float = RANK_RATIO) -> int:
-    """Count singular values above tol * sigma_max * max(rows, cols)."""
-    return rank_report(j, tol)[0]
-
-
-def rank_report(j, tol: float = RANK_RATIO):
-    """(rank, singular values, gap ratio).  The gap ratio compares the last
+def rank_report(m: np.ndarray, tol: float = RANK_RATIO):
+    """(rank, singular values, gap ratio).  The rank counts singular values
+    above tol * sigma_max * max(rows, cols).  The gap ratio compares the last
     retained singular value with the first discarded one, or with the
     threshold when the matrix has full numerical rank."""
-    m = _entries_of(j)
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, s, np.inf
@@ -246,7 +224,7 @@ def _reduce_to_complex(p: QMatrix) -> QMatrix | None:
         return None
     pr, pc = best
     permuted = QMatrix(p.data[np.ix_(pr, pc)])
-    dephased, _, _ = permuted.dephase()
+    dephased = permuted.dephase()
     q22 = dephased.entry(1, 1)
     x = aligning_conjugator(q22)
     reduced = dephased.entrywise_conjugate(x)
@@ -284,16 +262,15 @@ def _pattern_verdict_ch(p: QMatrix) -> str:
 
 
 def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
-                   cross_check: bool | str = "auto") -> ClassifyResult:
+                   cross_check: bool = True) -> ClassifyResult:
     """Rank-based singular/critical/regular verdict with an optional
     zero-pattern cross check.
 
     The rank verdict compares rank(dphi) against dim O(n) for map r and
-    against (n-1)^2 for maps c and h.  When the pattern machinery supports
-    the size (n <= 4 for r, n <= 3 for c and h) and does not report
-    "undecided", a disagreement with the rank verdict raises
-    InternalInconsistency.  cross_check=True outside the supported sizes
-    raises UnsupportedSize; "auto" skips silently.
+    against (n-1)^2 for maps c and h.  With cross_check, when the pattern
+    machinery supports the size (n <= 4 for r, n <= 3 for c and h) and does
+    not report "undecided", a disagreement with the rank verdict raises
+    InternalInconsistency; other sizes skip the check.
     """
     jac = jacobian(map_kind, p)
     rank, _, gap = rank_report(jac, tol)
@@ -308,11 +285,7 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
         supported = n <= 3
     pattern = None
     reason = f"rank {rank} vs domain {ddim}, codomain {cdim}"
-    want_check = cross_check is True or (cross_check == "auto" and supported)
-    if cross_check is True and not supported:
-        raise UnsupportedSize(
-            f"theorem cross-check unavailable for map {map_kind} at n={n}")
-    if want_check:
+    if cross_check and supported:
         if map_kind == "r":
             pattern = _pattern_verdict_r(p)
         else:

@@ -26,28 +26,29 @@ from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_matrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
-from .tol import (DESCENT_GOAL, GRADIENT_FLOOR, GROUP_BASIS, GROUP_POINT,
-                  NEAR_MISS, STEP_FLOOR, UNBIASED, ZETA_CIRCLE)
+from .tol import (DESCENT_GOAL, GRADIENT_FLOOR, GROUP, NEAR_MISS, STEP_FLOOR,
+                  UNBIASED, ZETA_CIRCLE)
 
 
-def cross_gram_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Max deviation of the squared norms of (A* B) entries from 1/n."""
-    n = a.shape[0]
+def cross_gram_deviation(a: np.ndarray, b: np.ndarray):
+    """Max deviation of the squared norms of (A* B) entries from 1/n, over
+    the last two axes: a stack of A gives one deviation for each."""
+    n = a.shape[-3]
     gram = qmat_mul(qmat_adjoint(a), b)
-    return float(np.max(np.abs(qnormsq(gram) - 1.0 / n)))
+    return np.max(np.abs(qnormsq(gram) - 1.0 / n), axis=(-2, -1))
 
 
-def is_unbiased(a: QMatrix, b: QMatrix, tol: float = UNBIASED) -> bool:
-    """True when all squared cross inner products equal 1/n within tol.
+def is_unbiased(a: QMatrix, b: QMatrix) -> bool:
+    """True when all squared cross inner products equal 1/n within UNBIASED.
 
     Equivalently sqrt(n) A*B is a Hadamard matrix.
     """
     if a.rows != b.rows or a.cols != b.cols or not a.is_square:
         raise DimensionMismatch("unbiasedness needs two square matrices of one size")
     for m in (a, b):
-        if m.unitary_defect() > GROUP_POINT:
-            raise NotSymplectic(f"bases must be symplectic within {GROUP_POINT}")
-    return cross_gram_deviation(a.data, b.data) <= tol
+        if not m.is_symplectic():
+            raise NotSymplectic(f"bases must be symplectic within {GROUP}")
+    return cross_gram_deviation(a.data, b.data) <= UNBIASED
 
 
 def check_bases(n: int, bases) -> float:
@@ -59,8 +60,8 @@ def check_bases(n: int, bases) -> float:
     for b in bases:
         if b.rows != n or b.cols != n:
             raise DimensionMismatch("all bases must be n x n")
-        if b.unitary_defect() > GROUP_BASIS:
-            raise NotSymplectic(f"basis fails the symplectic check at {GROUP_BASIS}")
+        if not b.is_symplectic():
+            raise NotSymplectic(f"basis fails the symplectic check at {GROUP}")
     worst = 0.0
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
@@ -197,11 +198,6 @@ def read_mubset_matrices(text: str) -> list[QMatrix]:
     if not bases:
         raise BadParams("no matrices in mub set file")
     return bases
-
-
-def read_mubset(text: str) -> MubSet:
-    bases = read_mubset_matrices(text)
-    return MubSet(bases[0].rows, tuple(bases))
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +463,7 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
             cands = np.einsum("scd,sijd->sijc", transforms[xidx[lo:hi]],
                               _moved_frames(batch, nidx[lo:hi], midx[lo:hi]),
                               optimize=True) / math.sqrt(3.0)
-            # no name holds the Gram products, so they are freed here and
-            # not kept alive through the next batch's prefilter
-            devs = np.max(np.abs(qnormsq(qmat_mul(qmat_adjoint(cands), all_targets))
-                                 - 1.0 / 3.0), axis=(-2, -1))
+            devs = cross_gram_deviation(cands, all_targets)
             for pos in np.flatnonzero(devs <= NEAR_MISS):
                 if devs[pos] <= UNBIASED:
                     return QMatrix(cands[pos])

@@ -16,14 +16,12 @@ chi(A) are the float storage viewed as complex, so they cost no copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
                      ZeroInFrame)
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
-from .tol import APPROX_EQ, GROUP_BASIS, HADAMARD, ZERO_ENTRY
+from .tol import APPROX_EQ, GROUP, HADAMARD, ZERO_ENTRY
 
 # ---------------------------------------------------------------------------
 # array-level quaternion algebra
@@ -247,7 +245,9 @@ class QMatrix:
         gram = qmat_mul(qmat_adjoint(self.data), self.data)
         return float(np.max(qnorm(gram - qmat_eye(self.cols))))
 
-    def is_symplectic(self, tol: float = GROUP_BASIS) -> bool:
+    def is_symplectic(self, tol: float = GROUP) -> bool:
+        """Square with unitary_defect() <= tol: the one group-membership
+        check, for O(n) and U(n) points too."""
         if not self.is_square:
             return False
         return self.unitary_defect() <= tol
@@ -293,7 +293,7 @@ class QMatrix:
 
     # -- normal forms ---------------------------------------------------------
 
-    def dephase(self) -> tuple["QMatrix", "MonomialTransform", "MonomialTransform"]:
+    def dephase(self) -> "QMatrix":
         """Left/right unit-diagonal scaling making row 1 and column 1 real >= 0.
 
         The left diagonal is conj(M[i,0])/|M[i,0]|, which turns column 1 into
@@ -313,13 +313,7 @@ class QMatrix:
         if np.min(col_norms) <= ZERO_ENTRY:
             raise ZeroInFrame("zero entry in the first row")
         right = qconj(row) / col_norms[:, None]
-        m2 = qmul(m1, right[None, :, :])
-        n_rows, n_cols = self.rows, self.cols
-        tl = MonomialTransform(tuple(range(n_rows)),
-                               tuple(Quaternion.from_array(q) for q in left), "left")
-        tr = MonomialTransform(tuple(range(n_cols)),
-                               tuple(Quaternion.from_array(q) for q in right), "right")
-        return QMatrix(m2), tl, tr
+        return QMatrix(qmul(m1, right[None, :, :]))
 
     def entrywise_conjugate(self, x: Quaternion) -> "QMatrix":
         """Conjugate every entry by the unit quaternion x."""
@@ -330,47 +324,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
-
-
-# ---------------------------------------------------------------------------
-# monomial transforms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonomialTransform:
-    """Permutation combined with unit-quaternion phases, acting on one side.
-
-    As a matrix this is P @ diag(phases) for side "left" and
-    diag(phases) @ P for side "right", with P the permutation matrix of
-    ``permutation`` (entry (permutation[j], j) equal to 1).
-    """
-
-    permutation: tuple[int, ...]
-    phases: tuple[Quaternion, ...]
-    side: str = "left"
-
-    def __post_init__(self):
-        for p in self.phases:
-            if not p.is_unit():
-                raise NonUnitConjugator("monomial phases must be unit quaternions")
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-
-    def matrix(self) -> QMatrix:
-        n = len(self.permutation)
-        out = np.zeros((n, n, 4))
-        for j, i in enumerate(self.permutation):
-            if self.side == "left":
-                out[i, j] = self.phases[j].as_array()
-            else:
-                out[i, j] = self.phases[i].as_array()
-        return QMatrix(out)
-
-    def apply(self, m: QMatrix) -> QMatrix:
-        if self.side == "left":
-            return self.matrix() @ m
-        return m @ self.matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +340,6 @@ def diag(entries: list[Quaternion]) -> QMatrix:
     out = np.zeros((n, n, 4))
     for i, q in enumerate(entries):
         out[i, i] = q.as_array()
-    return QMatrix(out)
-
-
-def permutation_matrix(perm) -> QMatrix:
-    """P with entry (perm[j], j) = 1; perm maps column index to row index."""
-    n = len(perm)
-    out = np.zeros((n, n, 4))
-    for j, i in enumerate(perm):
-        out[i, j, 0] = 1.0
     return QMatrix(out)
 
 

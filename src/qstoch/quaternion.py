@@ -133,16 +133,6 @@ def _coerce(value) -> Quaternion:
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
 
 
-def mul(q: Quaternion, r: Quaternion) -> Quaternion:
-    """Hamilton product q*r.  Not commutative."""
-    return _coerce(q) * _coerce(r)
-
-
-def pure_part(q: Quaternion) -> Quaternion:
-    """Drop the scalar coordinate."""
-    return _coerce(q).pure_part()
-
-
 def conjugate_by(q: Quaternion, x: Quaternion) -> Quaternion:
     """Return x*q*x^-1 for a unit-norm conjugator x.
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from .qmatrix import QMatrix
-from .tol import (BFGS_GTOL, BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR,
-                  GROUP_POINT, ORTHO3_RESIDUAL, SIGMA_MIN)
+from .tol import (BFGS_GTOL, BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP,
+                  ORTHO3_RESIDUAL, SIGMA_MIN)
 
 
 class BistochasticMatrix:
@@ -63,10 +63,8 @@ class SignPattern:
 
 def phi(m: QMatrix) -> BistochasticMatrix:
     """Entrywise squared norm of an orthogonal/unitary/symplectic matrix."""
-    if not m.is_square:
-        raise NotUnitary("phi requires a square matrix")
-    if m.unitary_defect() > GROUP_POINT:
-        raise NotUnitary(f"input is not in the unitary group within {GROUP_POINT}")
+    if not m.is_symplectic():
+        raise NotUnitary(f"input is not in the unitary group within {GROUP}")
     return BistochasticMatrix(m.squared_norms())
 
 
@@ -173,9 +171,9 @@ def sigma_pair_minima(b: BistochasticMatrix) -> list[tuple[str, int, int, float]
     return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
 
 
-def sigma_check(b: BistochasticMatrix, tol: float = SIGMA_MIN) -> bool:
+def sigma_check(b: BistochasticMatrix) -> bool:
     """True when every pair of rows and columns admits a vanishing signing."""
-    return all(m <= tol for _, _, _, m in sigma_pair_minima(b))
+    return all(m <= SIGMA_MIN for _, _, _, m in sigma_pair_minima(b))
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +364,6 @@ def distance_j3_report(restarts: int = 100, seed: int = 0) -> DistanceResult:
     r, _ = _rotation_and_partials(best_angles)
     minimizer = BistochasticMatrix(r * r)
     return DistanceResult(float(np.sqrt(best_f)), minimizer, total_iter, restarts)
-
-
-def distance_j3(restarts: int = 100, seed: int = 0) -> tuple[float, BistochasticMatrix]:
-    res = distance_j3_report(restarts, seed)
-    return res.distance, res.minimizer
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ the comment says otherwise.
 
 # -- group membership: the max entry norm of M*M - I ---------------------------
 
-# M*M - I of a point that phi, jacobian and is_unbiased accept
-GROUP_POINT = 1e-8
-# M*M - I of a MubSet basis; the default of is_symplectic and verify-symplectic
-GROUP_BASIS = 1e-9
+# M*M - I of a point of O(n), U(n) or Sp(n); is_symplectic's default, read by
+# phi, jacobian, is_unbiased, MubSet and verify-symplectic
+GROUP = 1e-9
 # | |m_ij| - 1 | and the max entry norm of M*M - nI of a Hadamard matrix
 HADAMARD = 1e-9
 

@@ -55,6 +55,27 @@ class TestVerification:
         assert main(["splits", files["i3.qmat"]]) == 0
         assert main(["splits", files["f3_unit.qmat"]]) == 1
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify-symplectic", "{a}"], 1, "symplectic=false\n", ""),
+        (["mub", "check", "{a}", "{f}"], 1,
+         "mub=false size=2 reason=basis fails the symplectic check at 1e-09\n",
+         ""),
+        (["phi", "{a}"], 3, "",
+         "error: input is not in the unitary group within 1e-09\n"),
+        (["jacobian", "--map", "h", "--file", "{a}"], 3, "",
+         "error: point is not in the group within 1e-09\n"),
+        (["classify", "--map", "h", "--file", "{a}"], 3, "",
+         "error: point is not in the group within 1e-09\n"),
+    ], ids=["verify-symplectic", "mub-check", "phi", "jacobian", "classify"])
+    def test_one_group_threshold(self, argv, code, out, err, workdir, capsys):
+        # unitary defect 2.4e-9: every verb that asks for a group point
+        # rejects it at the one threshold tol.GROUP
+        tmp_path, files = workdir
+        a = tmp_path / "a.qmat"
+        a.write_text(write_qmat((1 + 1.2e-9) * identity(3)))
+        assert main([x.format(a=a, f=files["f3_unit.qmat"]) for x in argv]) == code
+        assert capsys.readouterr() == (out, err)
+
 
 class TestStochasticCommands:
     def test_phi_roundtrip(self, workdir, capsys):
@@ -337,7 +358,7 @@ class TestMubCommands:
         assert "mub=false" in capsys.readouterr().out
 
     def test_check_quotes_the_group_threshold(self, workdir, capsys):
-        # the threshold is formatted from tol.GROUP_BASIS
+        # the threshold is formatted from tol.GROUP
         _, files = workdir
         assert main(["mub", "check", files["i3.qmat"], files["f3.qmat"]]) == 1
         assert capsys.readouterr().out == (

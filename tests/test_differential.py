@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from oracles import (generators_from_bases, jacobian_by_generators, qexpm,
                      tangent_bases, zero_diagonal_orthogonal)
-from qstoch.differential import (b_coordinates, classify_point, codomain_dim,
-                                 domain_dim, jacobian, numerical_rank,
-                                 rank_report, shuffled_block_sum,
+from qstoch.differential import (_pattern_verdict_ch, b_coordinates,
+                                 classify_point, codomain_dim, domain_dim,
+                                 jacobian, rank_report, shuffled_block_sum,
                                  tangent_generators)
 from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
                            WrongSize)
@@ -76,13 +76,13 @@ class TestTangentBases:
 class TestJacobian:
     def test_identity_is_zero_for_r(self):
         j = jacobian("r", identity(3))
-        assert j.entries.shape == (4, 3)
-        assert np.max(np.abs(j.entries)) == 0.0
-        assert numerical_rank(j) == 0
+        assert j.shape == (4, 3)
+        assert np.max(np.abs(j)) == 0.0
+        assert rank_report(j)[0] == 0
 
     def test_generic_rotation_matches_displayed_form(self, rng):
         x = haar_orthogonal(3, rng)
-        got = jacobian("r", QMatrix.from_real(x)).entries
+        got = jacobian("r", QMatrix.from_real(x))
         expect = np.array([
             [x[0, 0] * x[1, 0], x[0, 0] * x[2, 0], 0.0],
             [x[0, 1] * x[1, 1], x[0, 1] * x[2, 1], 0.0],
@@ -93,7 +93,7 @@ class TestJacobian:
 
     def test_diagonal_imaginary_columns_vanish_for_c(self, rng):
         z = QMatrix.from_complex(haar_unitary(3, rng))
-        j = jacobian("c", z).entries
+        j = jacobian("c", z)
         # iC columns follow the 3 A columns; diagonal pairs sit at offsets 0, 3, 5
         for off in (0, 3, 5):
             assert np.max(np.abs(j[:, 3 + off])) < 1e-13
@@ -114,8 +114,8 @@ class TestJacobian:
         for n in (2, 3, 4):
             for _ in range(10):
                 z = QMatrix.from_complex(haar_unitary(n, rng))
-                assert numerical_rank(jacobian("c", z)) == \
-                    numerical_rank(jacobian("h", z))
+                assert rank_report(jacobian("c", z))[0] == \
+                    rank_report(jacobian("h", z))[0]
 
     def test_finite_difference_consistency(self, rng):
         # the jacobian omits the constant factor 2 of the true derivative
@@ -135,7 +135,7 @@ class TestJacobian:
                     plus = qmat_mul(qexpm(eps * direction), p.data)
                     minus = qmat_mul(qexpm(-eps * direction), p.data)
                     fd = b_coordinates((qnormsq(plus) - qnormsq(minus)) / (2 * eps))
-                    jv = 2.0 * (jacobian(mk, p).entries @ coeffs)
+                    jv = 2.0 * (jacobian(mk, p) @ coeffs)
                     assert np.linalg.norm(fd - jv) <= 1e-6 * np.linalg.norm(jv)
 
 
@@ -165,7 +165,7 @@ class TestJacobianOracle:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_generators(self, mk, n, kind, seed):
         p = _point(mk, kind, n, np.random.default_rng(seed))
-        got = jacobian(mk, p).entries
+        got = jacobian(mk, p)
         want = jacobian_by_generators(mk, p)
         assert np.array_equal(got, want)
         if mk != "h":
@@ -175,7 +175,7 @@ class TestJacobianOracle:
 
 class TestNumericalRank:
     def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((4, 6))) == 0
+        assert rank_report(np.zeros((4, 6)))[0] == 0
 
     def test_gap_for_full_rank(self):
         rank, svals, gap = rank_report(np.eye(3))
@@ -183,13 +183,7 @@ class TestNumericalRank:
 
     def test_threshold_scaling(self, rng):
         m = np.diag([1.0, 1e-3, 1e-14])
-        assert numerical_rank(m, tol=1e-10) == 2
-
-    def test_agrees_with_rank_report(self, rng):
-        for m in (np.zeros((2, 3)), np.diag([1.0, 1e-9, 1e-12]),
-                  rng.standard_normal((4, 6))):
-            for tol in (1e-10, 1e-3):
-                assert numerical_rank(m, tol) == rank_report(m, tol)[0]
+        assert rank_report(m, tol=1e-10)[0] == 2
 
 
 class TestClassification:
@@ -200,7 +194,7 @@ class TestClassification:
         assert res.verdict == "regular"
         assert res.pattern_verdict == "regular"
         # the whole differential is the 1x1 matrix [x11 * x21]
-        j = jacobian("r", rot).entries
+        j = jacobian("r", rot)
         assert j.shape == (1, 1)
         assert j[0, 0] == pytest.approx(c * s)
 
@@ -219,8 +213,7 @@ class TestClassification:
             res = classify_point("r", QMatrix.from_real(x))
             assert res.verdict == "singular"
             for mk in ("c", "h"):
-                res = classify_point(mk, QMatrix.from_real(x),
-                                     cross_check=(n <= 3))
+                res = classify_point(mk, QMatrix.from_real(x))
                 assert res.verdict == "critical"
 
     def test_zero_diagonal_o4_singular_with_vanishing_minors(self, rng):
@@ -253,11 +246,12 @@ class TestClassification:
     def test_equivalent_to_real_detected_through_disguise(self, rng):
         # twist a real orthogonal matrix by monomial moves and an entrywise
         # conjugation; the pattern check must still see it as critical
-        from qstoch.qmatrix import diag, permutation_matrix
+        from qstoch.qmatrix import diag
         from qstoch.quaternion import Quaternion
+        from qstoch.stochastic import permutation_array
         x = QMatrix.from_real(haar_orthogonal(3, rng))
         q = Quaternion(*rng.standard_normal(4)).normalized()
-        twisted = (permutation_matrix((1, 2, 0))
+        twisted = (QMatrix.from_real(permutation_array((1, 2, 0)))
                    @ diag([Quaternion(0, 0, 1, 0), Quaternion(1, 0, 0, 0),
                            Quaternion(0, 0.6, 0.8, 0)]) @ x).entrywise_conjugate(q)
         res = classify_point("h", twisted)
@@ -270,12 +264,11 @@ class TestClassification:
         assert res.verdict == "regular"
 
     def test_unsupported_size_raises_when_forced(self):
+        # the pattern check raises outside its sizes, so classify skips it
         w = random_symplectic(4, seed=3)
         with pytest.raises(UnsupportedSize):
-            classify_point("h", w, cross_check=True)
-        # auto mode silently skips the pattern check
-        res = classify_point("h", w, cross_check="auto")
-        assert res.pattern_verdict is None
+            _pattern_verdict_ch(w)
+        assert classify_point("h", w).pattern_verdict is None
 
     def test_report_line_format(self):
         res = classify_point("r", identity(3))

@@ -10,15 +10,14 @@ from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
 from qstoch.mub import (MubSet, complete_mub_h2, cross_gram_deviation,
                         direct_maximality_search, extend_search, is_unbiased,
                         one_param_h3, operator_frame_orthogonality,
-                        read_mubset, read_mubset_matrices, three_param_h3,
-                        write_mubset)
+                        read_mubset_matrices, three_param_h3, write_mubset)
 from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
                             _qr_retract, diag, fourier, gram_schmidt_columns,
-                            identity, permutation_matrix,
-                            random_quaternion_array, random_symplectic,
-                            write_qmat)
+                            identity, random_quaternion_array,
+                            random_symplectic, write_qmat)
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
+from qstoch.stochastic import permutation_array
 
 R32 = math.sqrt(3) / 2
 
@@ -46,11 +45,20 @@ class TestIsUnbiased:
         with pytest.raises(NotSymplectic):
             is_unbiased(identity(2), QMatrix.from_real(np.ones((2, 2))))
 
+    def test_rejects_what_mubset_rejects(self):
+        # unitary defect 2.4e-9, cross deviation to F_3 8.0e-10: one group
+        # threshold decides for is_unbiased and MubSet alike
+        a = (1 + 1.2e-9) * identity(3)
+        with pytest.raises(NotSymplectic):
+            is_unbiased(a, fourier(3))
+        with pytest.raises(NotSymplectic):
+            MubSet(3, (a, fourier(3)))
+
     def test_equivalent_to_hadamard_criterion(self, rng):
         a = random_symplectic(3, seed=31)
         b = random_symplectic(3, seed=32)
         gram = math.sqrt(3) * (a.adjoint() @ b)
-        assert is_unbiased(a, b, 1e-9) == gram.is_hadamard(3 * 1e-9)
+        assert is_unbiased(a, b) == gram.is_hadamard(3 * 1e-9)
 
 
 class TestCompleteH2:
@@ -68,7 +76,9 @@ class TestCompleteH2:
         assert len(complex_members) == 3  # identity, real H, and the i-basis
         for i in range(3):
             for j in range(i + 1, 3):
-                assert is_unbiased(complex_members[i], complex_members[j], 1e-12)
+                dev = cross_gram_deviation(complex_members[i].data,
+                                           complex_members[j].data)
+                assert dev <= 1e-12
 
     def test_sixth_basis_fails_validation(self):
         s = complete_mub_h2()
@@ -143,7 +153,7 @@ class TestUnbiasednessInvariance:
         b = random_symplectic(3, seed=42)
         base = cross_gram_deviation(a.data, b.data)
         phases = [Quaternion(*v).normalized() for v in rng.standard_normal((3, 4))]
-        mono = permutation_matrix((2, 0, 1)) @ diag(phases)
+        mono = QMatrix.from_real(permutation_array((2, 0, 1))) @ diag(phases)
         assert cross_gram_deviation(a.data, (b @ mono).data) == \
             pytest.approx(base, abs=1e-12)
 
@@ -301,8 +311,8 @@ class TestSearches:
         c = extend_search(s, grid=8, conj_grid=4)
         assert c is not None
         assert c.is_symplectic(1e-9)
-        assert is_unbiased(c, identity(3), 1e-9)
-        assert is_unbiased(c, fourier(3), 1e-9)
+        assert is_unbiased(c, identity(3))
+        assert is_unbiased(c, fourier(3))
 
     def test_extend_requires_normalized_prefix(self):
         s = MubSet(3, (fourier(3), identity(3)))
@@ -351,14 +361,14 @@ class TestSearches:
 class TestMubIO:
     def test_round_trip(self):
         s = complete_mub_h2()
-        back = read_mubset(write_mubset(s))
+        back = read_mubset_matrices(write_mubset(s))
         assert len(back) == 5
-        for b1, b2 in zip(s.bases, back.bases):
+        for b1, b2 in zip(s.bases, back):
             assert np.array_equal(b1.data, b2.data)
 
     def test_rejects_empty(self):
         with pytest.raises(BadParams):
-            read_mubset("\n\n")
+            read_mubset_matrices("\n\n")
 
     @pytest.mark.parametrize("separator", ["\n", "  \n", "\t\n \n", "\n\n\n"])
     def test_blank_separator_may_hold_whitespace(self, separator):

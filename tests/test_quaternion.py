@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from qstoch.errors import NonUnitConjugator, NotPure
 from qstoch.quaternion import (I, J, K, ONE, Quaternion, aligning_conjugator,
-                               conjugate_by, format_quaternion, mul,
-                               parse_quaternion, pure_dot_cross, pure_part)
+                               conjugate_by, format_quaternion,
+                               parse_quaternion, pure_dot_cross)
 
 from conftest import ref_mul
 
@@ -41,7 +41,7 @@ class TestMul:
     def test_inverse_law(self, random_quaternion):
         for _ in range(50):
             q = random_quaternion(unit=True)
-            assert mul(q, q.inverse()).approx_eq(ONE, 1e-12)
+            assert (q * q.inverse()).approx_eq(ONE, 1e-12)
 
     @given(quaternions, quaternions)
     def test_matches_reference_oracle(self, q, r):
@@ -73,12 +73,12 @@ class TestMul:
 
 class TestPurePart:
     def test_examples(self):
-        assert pure_part(Quaternion(1, 2, 3, 4)) == Quaternion(0, 2, 3, 4)
-        assert pure_part(Quaternion(5, 0, 0, 0)) == Quaternion(0, 0, 0, 0)
+        assert Quaternion(1, 2, 3, 4).pure_part() == Quaternion(0, 2, 3, 4)
+        assert Quaternion(5, 0, 0, 0).pure_part() == Quaternion(0, 0, 0, 0)
 
     @given(quaternions)
     def test_pure_is_anti_self_conjugate(self, q):
-        p = pure_part(q)
+        p = q.pure_part()
         assert (p + p.conjugate()).norm() == 0.0
 
 
@@ -126,8 +126,8 @@ class TestPureDotCross:
 
     def test_product_decomposition(self, random_quaternion):
         for _ in range(100):
-            p = pure_part(random_quaternion())
-            q = pure_part(random_quaternion())
+            p = random_quaternion().pure_part()
+            q = random_quaternion().pure_part()
             dot, cross = pure_dot_cross(p, q)
             reassembled = Quaternion(-dot, 0, 0, 0) + cross
             assert ref_mul(p, q).approx_eq(reassembled, 1e-9)

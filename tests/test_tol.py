@@ -71,3 +71,37 @@ def test_tol_defines_only_float_constants():
     names = [n for n in vars(tol) if not n.startswith("__")]
     assert len(names) == len(body)
     assert all(type(getattr(tol, n)) is float for n in names)
+
+
+def _identifiers(tree: ast.AST):
+    """(name, line) of every name, attribute and imported name in a tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def test_group_membership_has_one_owner():
+    """Only QMatrix.is_symplectic compares unitary_defect() with tol.GROUP,
+    so every verb draws the group boundary in the same place."""
+    root = SRC.parents[1]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "qmatrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "unitary_defect" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                found.append(f"{path.name}:{node.lineno}: unitary_defect()")
+    retired = {"GROUP_POINT", "GROUP_BASIS"}
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for name, line in _identifiers(ast.parse(path.read_text())):
+                if name in retired:
+                    found.append(f"{path.relative_to(root)}:{line}: {name}")
+    assert found == []
+    assert not retired & set(vars(tol))
