@@ -77,17 +77,6 @@ def b_coordinates(m: np.ndarray) -> np.ndarray:
     return m[..., :-1, :-1].reshape(m.shape[:-2] + (-1,))
 
 
-def tangent_generators(map_kind: str, n: int) -> np.ndarray:
-    """Skew-hermitian generators E, in the basis order, as a (G, n, n, 4)
-    quaternion-coordinate array.  Tangent vectors at P are E @ P."""
-    u, i, j, sigma = _generator_table(map_kind, n)
-    g = np.arange(u.size)
-    gens = np.zeros((u.size, n, n, 4))
-    gens[g, i, j, u] = 1.0
-    gens[g, j, i, u] = sigma
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # Jacobian assembly
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ A_POLE = 1e-9
 STEP_FLOOR = 1e-14
 # squared Riemannian gradient norm below which the descent stops
 GRADIENT_FLOOR = 1e-30
+# ratio: fall of the descent objective over mub._STALL_WINDOW accepted steps,
+# over its value, at or below which a restart stops
+DESCENT_STALL = 1e-6
 # BFGS gradient norm (scipy gtol) at which the J_3 distance search stops
 BFGS_GTOL = 1e-10
 # distance of a cosine from +-1, or size of the phi amplitude, taken as degenerate

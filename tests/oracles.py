@@ -14,7 +14,12 @@ built one dense generator at a time that the two-row columns in
 qstoch.differential replaced.  They share no code path with those beyond
 the elementwise Hamilton product (plus the generic-family generator
 feeding the sweep, and the chi conversions and the start-point QR of the
-descent), so a defect cannot hide in a comparison against them.  The
+descent), so a defect cannot hide in a comparison against them.
+
+Two references do share kernels, because what they check is the control
+flow around them: descend_loop, the one-restart-at-a-time loop that the
+stacked descent in qstoch.mub replaced, runs on that descent's kernels;
+tangent_generators reads qstoch.differential's generator table.  The
 Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
 exponential used by the tests live here too.
 """
@@ -23,7 +28,8 @@ import math
 
 import numpy as np
 
-from qstoch import hadamard
+from qstoch import hadamard, mub
+from qstoch.differential import _generator_table
 from qstoch.errors import BadParams, DegenerateP, WrongSize
 from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
@@ -31,6 +37,8 @@ from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array)
+from qstoch.tol import (DESCENT_GOAL, DESCENT_STALL, GRADIENT_FLOOR,
+                       STEP_FLOOR)
 
 
 def hamilton_qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,23 +84,34 @@ def descent_objective(x: np.ndarray, chi_targets: np.ndarray):
     return float(np.sum(dev * dev)), grad, float(np.max(np.abs(dev)))
 
 
+def _stalled(values: list) -> bool:
+    """The stall stop of mub._descend on the objective values at accepted
+    points: the last _STALL_WINDOW steps lowered it by at most DESCENT_STALL
+    of its value."""
+    window = mub._STALL_WINDOW
+    return (len(values) > window
+            and values[-1 - window] - values[-1] <= DESCENT_STALL * values[-1])
+
+
 def descend_qr(start: np.ndarray, targets, max_iter: int = 2000,
                viol_goal: float = 1e-10, trials: list | None = None):
     """Backtracking descent over Sp(n) that retracts every trial step by
     Householder QR and evaluates the objective with its gradient there.
 
-    trials, when given, receives (value, armijo_bound) for each trial step
-    in order; the step is accepted when value <= armijo_bound.
+    It stops as mub._descend does, stall included.  trials, when given,
+    receives (value, armijo_bound) for each trial step in order; the step
+    is accepted when value <= armijo_bound.
     """
     chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
     x = _chi_from_rows(_qr_retract(_chi(start)))
     value, grad, viol = descent_objective(x, chi_targets)
+    values = [value]
     step = 0.1
     for _ in range(max_iter):
         xg = x.conj().T @ grad
         rgrad = grad - x @ (0.5 * (xg + xg.conj().T))
         gnorm2 = 0.5 * float(np.sum(rgrad.real ** 2 + rgrad.imag ** 2))
-        if gnorm2 < 1e-30 or viol <= viol_goal:
+        if gnorm2 < 1e-30 or viol <= viol_goal or _stalled(values):
             break
         moved = False
         while step > 1e-14:
@@ -103,6 +122,7 @@ def descend_qr(start: np.ndarray, targets, max_iter: int = 2000,
                 trials.append((cand_value, bound))
             if cand_value <= bound:
                 x, value, grad, viol = cand, cand_value, cand_grad, cand_viol
+                values.append(value)
                 step *= 1.5
                 moved = True
                 break
@@ -111,6 +131,50 @@ def descend_qr(start: np.ndarray, targets, max_iter: int = 2000,
             break
     w = _from_chi_rows(x[::2])
     return w, max(cross_gram_deviation(w, b) for b in targets)
+
+
+def descend_loop(start: np.ndarray, targets, max_iter: int = 2000,
+                 stall: bool = True):
+    """One restart of mub._descend at a time: the sequential loop the
+    stacked descent replaced, on its kernels with a stack of one, with its
+    five stops (stall only when stall is true).  Returns the result, its
+    violation and the stop: "goal", "stall", "gradient floor", "step floor"
+    or "cap"."""
+    chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
+    x = mub._ChiBuffer(_chi_from_rows(_qr_retract(_chi(start[None]))))
+    cand = mub._ChiBuffer(np.empty_like(x.full))
+    y, dev, value = mub._deviations(x.full, chi_targets)
+    values = [float(value[0])]
+    step = 0.1
+    stop = "cap"
+    for _ in range(max_iter):
+        if np.abs(dev).max() <= DESCENT_GOAL:
+            stop = "goal"
+            break
+        if stall and _stalled(values):
+            stop = "stall"
+            break
+        rgrad = mub._riemannian_grad(x.full, mub._gradient(y, dev, chi_targets))
+        flat = rgrad.ravel().view(float)
+        gnorm2 = 0.5 * float(flat @ flat)
+        if gnorm2 < GRADIENT_FLOOR:
+            stop = "gradient floor"
+            break
+        while step > STEP_FLOOR:
+            mub._cholesky_retract(x.full - step * rgrad, cand)
+            cand_y, cand_dev, cand_value = mub._deviations(cand.full, chi_targets)
+            if cand_value[0] <= values[-1] - 0.3 * step * gnorm2:
+                x, cand = cand, x
+                y, dev = cand_y, cand_dev
+                values.append(float(cand_value[0]))
+                step *= 1.5
+                break
+            step *= 0.5
+        else:
+            stop = "step floor"
+            break
+    w = _from_chi_rows(x.even[0])
+    return w, max(cross_gram_deviation(w, b) for b in targets), stop
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +658,18 @@ def generators_from_bases(map_kind: str, n: int) -> list[np.ndarray]:
             g = np.zeros((n, n, 4))
             g[..., axis] = c
             gens.append(g)
+    return gens
+
+
+def tangent_generators(map_kind: str, n: int) -> np.ndarray:
+    """Skew-hermitian generators E, in the basis order of
+    qstoch.differential, as a (G, n, n, 4) quaternion-coordinate array read
+    from its generator table.  Tangent vectors at P are E @ P."""
+    u, i, j, sigma = _generator_table(map_kind, n)
+    g = np.arange(u.size)
+    gens = np.zeros((u.size, n, n, 4))
+    gens[g, i, j, u] = 1.0
+    gens[g, j, i, u] = sigma
     return gens
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from oracles import (birkhoff_sample, qexpm, system_dets_arr,
-                     zero_diagonal_orthogonal)
+                     tangent_generators, zero_diagonal_orthogonal)
 from qstoch import differential, hadamard, mub, stochastic
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
                             qmat_adjoint, qmat_mul, qnormsq,
@@ -323,7 +323,7 @@ def test_12_jacobian_correctness():
                     p = QMatrix.from_complex(haar_unitary(n, rng))
                 else:
                     p = random_symplectic(n, seed=int(rng.integers(1 << 30)))
-                gens = differential.tangent_generators(mk, n)
+                gens = tangent_generators(mk, n)
                 coeffs = rng.standard_normal(len(gens))
                 direction = sum(c * g for c, g in zip(coeffs, gens))
                 plus = qmat_mul(qexpm(eps * direction), p.data)

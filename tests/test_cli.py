@@ -11,10 +11,23 @@ import pytest
 import qstoch
 from qstoch.cli import main
 from qstoch.hadamard import verify_family3
-from qstoch.mub import MubSet, complete_mub_h2, write_mubset
+from qstoch.mub import (MubSet, complete_mub_h2, one_param_h3, three_param_h3,
+                        write_mubset)
 from qstoch.qmatrix import (fourier, identity, random_symplectic,
                             read_matrix_text, write_qmat, write_rmat)
+from qstoch.quaternion import Quaternion
 from qstoch.stochastic import van_der_waerden
+
+R32 = math.sqrt(3) / 2
+MAXIMALITY_SETS = {
+    "complete_h2": complete_mub_h2,
+    "one_param_s": lambda: one_param_h3(R32, 0.0),
+    "one_param_t": lambda: one_param_h3(0.0, R32),
+    "pair": lambda: MubSet(3, (identity(3), fourier(3))),
+    "three_param": lambda: three_param_h3(*(
+        Quaternion(-0.5, R32 * math.cos(a), R32 * math.sin(a), 0.0)
+        for a in (2 * math.pi * k / 3 for k in range(3)))),
+}
 
 
 @pytest.fixture
@@ -435,6 +448,28 @@ class TestMubCommands:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "violation,restarts,seed"
 
+
+    @pytest.mark.parametrize("name, seed, line, code", [
+        ("complete_h2", 0, "violation=2.662e-01 restarts=50", 0),
+        ("complete_h2", 1, "violation=2.690e-01 restarts=50", 0),
+        ("one_param_s", 0, "violation=2.399e-01 restarts=50", 0),
+        ("one_param_s", 1, "violation=2.502e-01 restarts=50", 0),
+        ("one_param_t", 0, "violation=2.222e-01 restarts=50", 0),
+        ("one_param_t", 1, "violation=2.222e-01 restarts=50", 0),
+        ("pair", 0, "violation=1.864e-11 restarts=50", 1),
+        ("pair", 1, "violation=2.722e-11 restarts=50", 1),
+        # the stall stop ends these restarts on their plateau, short of the
+        # 1.065e-01 / 1.061e-01 that the 2000-step cap reached
+        ("three_param", 0, "violation=1.059e-01 restarts=50", 0),
+        ("three_param", 1, "violation=1.057e-01 restarts=50", 0),
+    ])
+    def test_maximality_output_pinned(self, name, seed, line, code, capsys,
+                                      tmp_path):
+        path = tmp_path / f"{name}.mub"
+        path.write_text(write_mubset(MAXIMALITY_SETS[name]()))
+        assert main(["mub", "maximality", str(path), "--restarts", "50",
+                     "--seed", str(seed)]) == code
+        assert capsys.readouterr().out == line + "\n"
 
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_maximality_needs_a_restart(self, restarts, capsys, tmp_path):

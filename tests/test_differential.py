@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (generators_from_bases, jacobian_by_generators, qexpm,
-                     tangent_bases, zero_diagonal_orthogonal)
+                     tangent_bases, tangent_generators,
+                     zero_diagonal_orthogonal)
 from qstoch.differential import (_pattern_verdict_ch, b_coordinates,
                                  classify_point, codomain_dim, domain_dim,
-                                 jacobian, rank_report, shuffled_block_sum,
-                                 tangent_generators)
+                                 jacobian, rank_report, shuffled_block_sum)
 from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
                            WrongSize)
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,

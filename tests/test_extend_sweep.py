@@ -151,6 +151,18 @@ def test_sweep_table_follows_the_grid(kind):
         assert (state.checked, state.near_misses) == (checked, near)
 
 
+def test_extend_search_polishes_a_near_miss():
+    # the fourth basis that extends this prefix lies off the grid; the third
+    # candidate within NEAR_MISS descends onto it, as the first two do not
+    s = mub.MubSet(3, mub.one_param_h3(R32 * math.cos(1.0),
+                                       R32 * math.sin(1.0)).bases[:3])
+    state = SimpleNamespace(checked=0, near_misses=0)
+    found = mub.extend_search(s, 16, 16, state=state)
+    assert (state.checked, state.near_misses) == (2640384, 3)
+    assert found is not None and found.is_symplectic()
+    assert all(mub.is_unbiased(found, b) for b in s.bases)
+
+
 def test_sweep_table_is_read_only():
     table, bounds = mub._sweep_table(6)
     with pytest.raises(ValueError):

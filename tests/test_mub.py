@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import descend_qr, descent_objective
+from oracles import descend_loop, descend_qr, descent_objective
 
 from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
@@ -18,6 +18,7 @@ from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import permutation_array
+from qstoch.tol import NEAR_MISS
 
 R32 = math.sqrt(3) / 2
 
@@ -185,10 +186,10 @@ class TestDescentKernel:
         w = random_symplectic(3, seed=21).data
 
         def value(v):
-            return mub._deviations(_chi(v), chi_targets)[2]
+            return mub._deviations(_chi(v)[None], chi_targets)[2][0]
 
-        y, dev, _ = mub._deviations(_chi(w), chi_targets)
-        grad = _from_chi_rows(mub._gradient(y, dev, chi_targets)[::2])
+        y, dev, _ = mub._deviations(_chi(w)[None], chi_targets)
+        grad = _from_chi_rows(mub._gradient(y, dev, chi_targets)[0, ::2])
         h = 1e-6
         numeric = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
@@ -200,7 +201,7 @@ class TestDescentKernel:
     def test_objective_violation_matches_cross_gram_deviation(self):
         s = one_param_h3(R32, 0.0)
         w = random_symplectic(3, seed=22).data
-        _, dev, _ = mub._deviations(_chi(w), self._chi_targets(s))
+        _, dev, _ = mub._deviations(_chi(w)[None], self._chi_targets(s))
         want = max(cross_gram_deviation(w, b.data) for b in s.bases)
         assert np.max(np.abs(dev)) == pytest.approx(want, abs=1e-14)
 
@@ -208,18 +209,18 @@ class TestDescentKernel:
         s = three_param_h3(*(cube_root(2 * math.pi * k / 3) for k in range(3)))
         chi_targets = self._chi_targets(s)
         x = _chi(random_symplectic(3, seed=24).data)
-        y, dev, value = mub._deviations(x, chi_targets)
+        y, dev, value = mub._deviations(x[None], chi_targets)
         want_value, want_grad, want_viol = descent_objective(x, chi_targets)
-        assert value == pytest.approx(want_value, rel=1e-14)
+        assert value[0] == pytest.approx(want_value, rel=1e-14)
         assert np.max(np.abs(dev)) == pytest.approx(want_viol, rel=1e-14)
-        assert np.max(np.abs(mub._gradient(y, dev, chi_targets) - want_grad)) < 1e-14
+        assert np.max(np.abs(mub._gradient(y, dev, chi_targets)[0] - want_grad)) < 1e-14
 
     def test_riemannian_gradient_is_tangent(self):
         s = one_param_h3(0.0, R32)
-        x = _chi(random_symplectic(3, seed=23).data)
+        x = _chi(random_symplectic(3, seed=23).data)[None]
         y, dev, _ = mub._deviations(x, self._chi_targets(s))
         rgrad = mub._riemannian_grad(x, mub._gradient(y, dev, self._chi_targets(s)))
-        skew = x.conj().T @ rgrad
+        skew = x[0].conj().T @ rgrad[0]
         assert np.max(np.abs(skew + skew.conj().T)) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -229,23 +230,43 @@ class TestDescentKernel:
         # the descent stays below 0.5 on the H^2 and H^3 sets
         rng = np.random.default_rng(n)
         x = _chi(random_symplectic(n, seed=n).data)
-        g = mub._riemannian_grad(x, _chi(rng.standard_normal((n, n, 4))))
+        g = mub._riemannian_grad(x[None], _chi(rng.standard_normal((1, n, n, 4))))[0]
         c = x - size * g / np.linalg.norm(g, 2)
-        out = mub._ChiBuffer(n)
-        mub._cholesky_retract(c, out)
-        assert np.max(np.abs(out.even - _qr_retract(c))) < 1e-13
+        out = mub._ChiBuffer(np.empty((1, 2 * n, 2 * n), dtype=complex))
+        mub._cholesky_retract(c[None], out)
+        assert np.max(np.abs(out.even[0] - _qr_retract(c))) < 1e-13
         assert np.array_equal(out.full, _chi_from_rows(out.even))
-        assert np.max(np.abs(out.full.conj().T @ out.full - np.eye(2 * n))) < 1e-13
+        assert np.max(np.abs(out.full[0].conj().T @ out.full[0]
+                             - np.eye(2 * n))) < 1e-13
 
     def test_long_descent_matches_gram_schmidt_descent(self):
-        # this restart runs to the 2000-iteration cap.  Descending with a
-        # Hamilton-product gradient and a Gram-Schmidt retraction ends at
-        # violation 0.11320497646536 (to 13 digits); a retraction that let
-        # the odd rows of chi(W) drift stopped early near 0.11267
-        s = three_param_h3(*(cube_root(2 * math.pi * k / 3) for k in range(3)))
-        viol, w = direct_maximality_search(s, restarts=1, seed=0)
-        assert viol == pytest.approx(0.11320497646536, abs=1e-9)
-        assert w.is_symplectic(1e-12)
+        # with an off-grid third basis, restarts 0-2 still lower the
+        # objective by more than DESCENT_STALL per window when they reach
+        # the 2000-step cap.  Descending with a Hamilton-product gradient
+        # and a Householder QR retraction ends within 1e-13 of the same
+        # points; a retraction that let the odd rows of chi(W) drift would
+        # not
+        s = _off_grid_prefix()
+        targets = [b.data for b in s.bases]
+        starts = np.stack([_start(s.n, r) for r in range(3)])
+        w, viol = mub._descend(starts, targets)
+        for r in range(3):
+            trials = []
+            w_ref, viol_ref = descend_qr(starts[r], targets, trials=trials)
+            assert sum(v <= bound for v, bound in trials) == 2000
+            assert viol[r] == pytest.approx(viol_ref, abs=1e-9)
+            assert np.max(np.abs(w[r] - w_ref)) < 1e-9
+            assert QMatrix(w[r]).is_symplectic(1e-12)
+
+
+def _start(n: int, restart: int, seed: int = 0) -> np.ndarray:
+    """direct_maximality_search's start for this restart and seed."""
+    rng = np.random.default_rng(seed * 1_000_003 + restart)
+    return gram_schmidt_columns(random_quaternion_array((n, n), rng))
+
+
+def _off_grid_prefix():
+    return MubSet(3, one_param_h3(R32 * math.cos(1), R32 * math.sin(1)).bases[:3])
 
 
 DESCENT_SETS = {
@@ -258,18 +279,19 @@ DESCENT_SETS = {
 
 
 def _lean_descent(monkeypatch, start, targets, max_iter):
-    """mub._descend's result and the objective at each of its trial steps."""
+    """mub._descend's result from one start, and the objective at each of
+    its trial steps."""
     values = []
     deviations = mub._deviations
 
     def record(x, chi_targets):
         out = deviations(x, chi_targets)
-        values.append(out[2])
+        values.extend(out[2].tolist())
         return out
 
     monkeypatch.setattr(mub, "_deviations", record)
-    w, _ = mub._descend(start, targets, max_iter=max_iter)
-    return w, values[1:]  # values[0] is the start
+    w, _ = mub._descend(start[None], targets, max_iter=max_iter)
+    return w[0], values[1:]  # values[0] is the start
 
 
 @pytest.mark.parametrize("name", sorted(DESCENT_SETS))
@@ -277,8 +299,7 @@ def _lean_descent(monkeypatch, start, targets, max_iter):
 def test_short_descent_matches_qr_descent(monkeypatch, name, restart):
     s = DESCENT_SETS[name]()
     targets = [b.data for b in s.bases]
-    rng = np.random.default_rng(restart)  # direct_maximality_search's, seed 0
-    start = gram_schmidt_columns(random_quaternion_array((s.n, s.n), rng))
+    start = _start(s.n, restart)
     trials = []
     w_ref, _ = descend_qr(start, targets, max_iter=60, trials=trials)
     w, values = _lean_descent(monkeypatch, start, targets, 60)
@@ -303,6 +324,63 @@ def test_short_descent_matches_qr_descent(monkeypatch, name, restart):
             assert descent_objective(_chi(end), chi_targets)[0] < floor + 1e-12
     else:
         assert np.max(np.abs(w - w_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_SETS))
+def test_stacked_descent_matches_sequential_loop(name):
+    # the restarts of one stack stop at different rounds and for different
+    # reasons, so rows leave the stack while others go on
+    s = DESCENT_SETS[name]()
+    targets = [b.data for b in s.bases]
+    starts = np.stack([_start(s.n, r) for r in range(8)])
+    w, viol = mub._descend(starts, targets)
+    for r in range(8):
+        w_ref, viol_ref, _ = descend_loop(starts[r], targets)
+        assert np.max(np.abs(w[r] - w_ref)) < 1e-12
+        assert viol[r] == pytest.approx(viol_ref, abs=1e-12)
+
+
+def test_flat_restart_stops_by_stall(monkeypatch):
+    # the objective of this restart is flat to 6 digits from about its
+    # 40th step; without the stall stop it ran to the 2000-step cap in 3168
+    # evaluations
+    s = DESCENT_SETS["three_param"]()
+    targets = [b.data for b in s.bases]
+    start = _start(s.n, 0)
+    _, _, stop = descend_loop(start, targets)
+    assert stop == "stall"
+    _, values = _lean_descent(monkeypatch, start, targets, 2000)
+    assert len(values) + 1 < 200
+
+
+# {I, F_3}, the theta = 0 prefix of one_param_h3 and the first two and three
+# bases of the complete H^2 set extend; the count of 50 restarts at seed 0
+# that find an extension
+POSITIVE_CONTROLS = {
+    "pair": (DESCENT_SETS["pair"], 50),
+    "prefix3": (lambda: MubSet(3, one_param_h3(R32, 0.0).bases[:3]), 49),
+    "h2_two": (lambda: MubSet(2, complete_mub_h2().bases[:2]), 50),
+    "h2_three": (lambda: MubSet(2, complete_mub_h2().bases[:3]), 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIVE_CONTROLS))
+def test_stall_stop_keeps_every_extension(name):
+    build, want = POSITIVE_CONTROLS[name]
+    s = build()
+    targets = [b.data for b in s.bases]
+    starts = np.stack([_start(s.n, r) for r in range(50)])
+    _, viol = mub._descend(starts, targets)
+    no_stall = [descend_loop(x, targets, stall=False)[1] for x in starts]
+    assert np.sum(viol < 1e-8) == np.sum(np.array(no_stall) < 1e-8) == want
+
+
+@pytest.mark.parametrize("build", [
+    complete_mub_h2, lambda: one_param_h3(R32, 0.0),
+    lambda: one_param_h3(0.0, R32), DESCENT_SETS["three_param"]])
+def test_maximal_sets_stay_blocked(build):
+    viol, _ = direct_maximality_search(build(), restarts=50, seed=0)
+    assert viol >= NEAR_MISS
 
 
 class TestSearches:
