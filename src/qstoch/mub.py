@@ -21,9 +21,8 @@ import numpy as np
 from . import hadamard
 from .errors import (BadParams, DimensionMismatch, NotNormalized,
                      NotSymplectic, TooManyBases, WrongSize)
-from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _chi_from_rows,
-                      _from_chi_rows, _qr_retract, fourier,
-                      gram_schmidt_columns, identity,
+from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
+                      _qr_retract, fourier, gram_schmidt_columns, identity,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_matrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
@@ -202,8 +201,7 @@ def read_mubset_matrices(text: str) -> list[QMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# descent on Sp(n): R restarts as one stack, shared by the polish step and
-# the direct search
+# descent on Sp(n): shared by the polish step and the direct search
 # ---------------------------------------------------------------------------
 
 # accepted steps over which a restart must lower its objective by more than
@@ -212,37 +210,23 @@ _STALL_WINDOW = 20
 
 
 class _ChiBuffer:
-    """A stack of chi(W), (R, 2n, 2n), whose odd rows are rebuilt in place
-    from its even rows, so every iterate stays exactly on the chi pattern."""
+    """A preallocated chi(W), 2n x 2n, whose odd rows are rebuilt from its
+    even rows, so the iterate stays exactly on the chi pattern."""
 
-    def __init__(self, full: np.ndarray):
-        count, n = full.shape[0], full.shape[1] // 2
-        blocks = full.reshape(count, n, 2, n, 2)
-        self.full = full
-        self.even = full[:, ::2]
-        self._swapped = blocks[:, :, 0, :, ::-1]  # (z2, z1) of every entry
-        self._odd = blocks[:, :, 1]  # (-conj z2, conj z1)
+    def __init__(self, n: int):
+        self.full = np.empty((2 * n, 2 * n), dtype=complex)
+        blocks = self.full.reshape(n, 2, n, 2)
+        self.even = self.full[::2]
+        self._swapped = blocks[:, 0, :, ::-1]  # (z2, z1) of every entry
+        self._odd = blocks[:, 1]  # (-conj z2, conj z1)
 
     def rebuild(self) -> None:
         np.conjugate(self._swapped, out=self._odd)
         self._odd *= _ODD_ROW_SIGNS
 
 
-def _ct(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(1, 2)
-
-
-def _sumsq(a: np.ndarray) -> np.ndarray:
-    """Sum of the squared real coordinates of each matrix in a stack, taken
-    as one dot product per matrix, in the order a 1-D dot product sums."""
-    flat = a.reshape(len(a), 1, -1).view(float)
-    return (flat @ flat.transpose(0, 2, 1)).ravel()
-
-
 def _cholesky_retract(c: np.ndarray, out: _ChiBuffer) -> None:
-    """Write chi of the Q factor of c = QR, diag(R) > 0, into out, for each
-    c in a stack.
+    """Write the Q factor of c = QR, diag(R) > 0, into out.
 
     c^H c = R^H R, so R is the upper Cholesky factor of c^H c and Q = c R^-1:
     the factor _qr_retract returns, at half the cost.  (chol of conj(c^H c)
@@ -252,133 +236,84 @@ def _cholesky_retract(c: np.ndarray, out: _ChiBuffer) -> None:
     condition number of R squared, bounds the orthogonality Cholesky QR
     loses.
     """
-    r = np.linalg.cholesky(c.swapaxes(1, 2) @ c.conj()).swapaxes(1, 2)
-    np.matmul(c[:, ::2], np.linalg.inv(r), out=out.even)
+    r = np.linalg.cholesky(c.T @ c.conj()).T
+    np.matmul(c[::2], np.linalg.inv(r), out=out.even)
     out.rebuild()
 
 
 def _deviations(x: np.ndarray, chi_targets: np.ndarray):
-    """chi(W* B) for every target at each chi(W) = x of a stack, the
-    deviations of its squared entry norms from 1/n, and the objective, their
-    sum of squares.
+    """chi(W* B) for every target at chi(W) = x, the deviations of its
+    squared entry norms from 1/n, and the objective, their sum of squares.
 
     chi_targets = [chi(B_1) ... chi(B_T)] side by side.  The squared norms
     are read off the float view of the even rows, which hold the entries.
     """
-    n = x.shape[-1] // 2
-    y = _ct(x) @ chi_targets
-    coords = y[:, ::2].view(float).reshape(len(y), n, -1, 4)
+    n = x.shape[0] // 2
+    y = x.conj().T @ chi_targets
+    coords = y[::2].view(float).reshape(n, -1, 4)
     dev = (coords * coords).sum(axis=-1) - 1.0 / n
-    return y, dev, _sumsq(dev)
+    flat = dev.ravel()
+    return y, dev, float(flat @ flat)
 
 
 def _gradient(y: np.ndarray, dev: np.ndarray,
               chi_targets: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the objective in the 4n^2 real coordinates of
     W, in chi form: with G = 4 dev * (W* B) entrywise, sum_t B_t G_t^*."""
-    count, n, m = dev.shape
-    g = y.reshape(count, n, 2, m, 2) * (4.0 * dev)[:, :, None, :, None]
-    return chi_targets @ _ct(g.reshape(y.shape))
+    n = dev.shape[0]
+    g = y.reshape(n, 2, -1, 2) * (4.0 * dev)[:, None, :, None]
+    return chi_targets @ g.reshape(2 * n, -1).conj().T
 
 
 def _riemannian_grad(x: np.ndarray, euclid: np.ndarray) -> np.ndarray:
     """Project a chi-form gradient onto the tangent space of Sp(n) at x."""
-    xg = _ct(x) @ euclid
-    return euclid - x @ (0.5 * (xg + _ct(xg)))
+    xg = x.conj().T @ euclid
+    return euclid - x @ (0.5 * (xg + xg.conj().T))
 
 
-def _stalled(values: list) -> bool:
-    """True when the last _STALL_WINDOW accepted steps lowered the objective
-    by at most DESCENT_STALL of its value; values holds the objective at
-    each accepted point, the start first."""
-    return (len(values) > _STALL_WINDOW
-            and values[-1 - _STALL_WINDOW] - values[-1] <= DESCENT_STALL * values[-1])
+def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000):
+    """Backtracking gradient descent over Sp(n) with a QR retraction.
 
-
-def _descend(starts: np.ndarray, targets: list[np.ndarray],
-             max_iter: int = 2000):
-    """Backtracking gradient descent over Sp(n) with a QR retraction, from
-    each of the (R, n, n, 4) starts at once.
-
-    The running restarts stay in chi form as one (R, 2n, 2n) stack, which
-    drops a restart when it stops.  Each round makes one trial step, a
-    Cholesky QR retraction and the objective, for every running restart;
-    each keeps its own step length, Armijo test and stop, so it takes the
-    steps it would take alone.  The gradient and the stop tests (the five
-    that direct_maximality_search lists, with max_iter accepted steps as
-    the cap) are taken only at accepted points.  Returns the (R, n, n, 4)
-    results and their violations, measured on the results.
+    W and the targets stay in chi form for the whole descent; the result
+    converts back once, and its violation is measured on that result.  A
+    trial step costs a Cholesky QR retraction and the objective; the
+    gradient and the violation are formed only at accepted points, where
+    the five stops that direct_maximality_search lists are tested, with
+    max_iter accepted steps as the cap.
     """
     chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
-    x = _ChiBuffer(_chi_from_rows(_qr_retract(_chi(starts))))
-    cand = _ChiBuffer(np.empty_like(x.full))
+    x, cand = _ChiBuffer(start.shape[0]), _ChiBuffer(start.shape[0])
+    x.even[...] = _qr_retract(_chi(start))
+    x.rebuild()
     y, dev, value = _deviations(x.full, chi_targets)
-    ends, rgrad = np.empty_like(x.even), np.empty_like(x.full)
-    # max |dev|^2 >= value / dev.size, so a row is at the goal only if its
-    # value is at most twice dev.size * DESCENT_GOAL^2
-    goal_value = 2.0 * dev[0].size * DESCENT_GOAL ** 2
-    # per row of the stack: its restart, step length, squared gradient norm,
-    # the objective at each accepted point, and whether it has stopped
-    rows = list(range(len(starts)))
-    step = [0.1] * len(rows)
-    gnorm2 = [0.0] * len(rows)
-    values = [[v] for v in value.tolist()]
-    stop = [False] * len(rows)
-    moved = rows[:]  # the rows at a new point
-    while True:
-        near = [i for i in moved if values[i][-1] <= goal_value]
-        if near:
-            for i, v in zip(near, np.abs(dev[near]).max(axis=(1, 2)).tolist()):
-                stop[i] = v <= DESCENT_GOAL
-        fresh = []
-        for i in moved:
-            stop[i] = stop[i] or _stalled(values[i]) or len(values[i]) > max_iter
-            if not stop[i]:
-                fresh.append(i)
-        if fresh:
-            if len(fresh) == len(rows):
-                rgrad = g = _riemannian_grad(x.full,
-                                             _gradient(y, dev, chi_targets))
-            else:
-                g = _riemannian_grad(x.full[fresh], _gradient(
-                    y[fresh], dev[fresh], chi_targets))
-                rgrad[fresh] = g
-            for i, g2 in zip(fresh, _sumsq(g).tolist()):
-                # the squared norm in the 4n^2 real coordinates of W: chi
-                # doubles it
-                gnorm2[i] = 0.5 * g2
-                stop[i] = gnorm2[i] < GRADIENT_FLOOR
-        if any(stop):
-            keep = [i for i, s in enumerate(stop) if not s]
-            done = [i for i, s in enumerate(stop) if s]
-            ends[[rows[i] for i in done]] = x.even[done]
-            if not keep:
+    values = [value]  # the objective at each accepted point
+    step = 0.1
+    for _ in range(max_iter):
+        if np.abs(dev).max() <= DESCENT_GOAL:
+            break
+        if (len(values) > _STALL_WINDOW and values[-1 - _STALL_WINDOW] - value
+                <= DESCENT_STALL * value):
+            break
+        rgrad = _riemannian_grad(x.full, _gradient(y, dev, chi_targets))
+        # the squared norm in the 4n^2 real coordinates of W: chi doubles it
+        flat = rgrad.ravel().view(float)
+        gnorm2 = 0.5 * float(flat @ flat)
+        if gnorm2 < GRADIENT_FLOOR:
+            break
+        while step > STEP_FLOOR:
+            _cholesky_retract(x.full - step * rgrad, cand)
+            cand_y, cand_dev, cand_value = _deviations(cand.full, chi_targets)
+            if cand_value <= value - 0.3 * step * gnorm2:
+                x, cand = cand, x
+                y, dev, value = cand_y, cand_dev, cand_value
+                values.append(value)
+                step *= 1.5
                 break
-            x, cand = _ChiBuffer(x.full[keep]), _ChiBuffer(cand.full[keep])
-            y, dev, rgrad = y[keep], dev[keep], rgrad[keep]
-            rows, step, gnorm2, values = ([a[i] for i in keep]
-                                          for a in (rows, step, gnorm2, values))
-            stop = [False] * len(keep)
-        _cholesky_retract(x.full - np.array(step)[:, None, None] * rgrad, cand)
-        cand_y, cand_dev, cand_value = _deviations(cand.full, chi_targets)
-        moved = []
-        for i, (c, h) in enumerate(zip(cand_value.tolist(), values)):
-            if c <= h[-1] - 0.3 * step[i] * gnorm2[i]:
-                h.append(c)
-                step[i] *= 1.5
-                moved.append(i)
-            else:
-                step[i] *= 0.5
-                stop[i] = step[i] <= STEP_FLOOR
-        if len(moved) == len(rows):
-            x, cand = cand, x
-            y, dev = cand_y, cand_dev
-        elif moved:
-            x.full[moved] = cand.full[moved]
-            y[moved], dev[moved] = cand_y[moved], cand_dev[moved]
-    w = _from_chi_rows(ends)
-    return w, np.array([max(cross_gram_deviation(v, b) for b in targets)
-                        for v in w])
+            step *= 0.5
+        else:  # no step down to STEP_FLOOR decreased the objective
+            break
+    w = _from_chi_rows(x.even)
+    return w, max(cross_gram_deviation(w, b) for b in targets)
 
 
 def direct_maximality_search(mubset: MubSet, restarts: int = 50,
@@ -386,8 +321,8 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     """Descent over Sp(n) for a basis unbiased to every member of the set.
 
     Restart r starts from Gram-Schmidt of a Gaussian quaternion matrix drawn
-    with seed * 1_000_003 + r, and all restarts descend as one stack.  Each
-    restart stops at the first of five reasons:
+    with seed * 1_000_003 + r.  Each restart stops at the first of five
+    reasons:
 
     - goal: its violation is at most DESCENT_GOAL;
     - stall: its objective fell by at most DESCENT_STALL of its value over
@@ -404,13 +339,18 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     """
     if restarts < 1:
         raise WrongSize("restarts must be >= 1")
+    targets = [b.data for b in mubset.bases]
     n = mubset.n
-    starts = np.stack([gram_schmidt_columns(random_quaternion_array(
-        (n, n), np.random.default_rng(seed * 1_000_003 + r)))
-        for r in range(restarts)])
-    w, viol = _descend(starts, [b.data for b in mubset.bases])
-    best = int(np.argmin(viol))
-    return float(viol[best]), QMatrix(w[best])
+    best_viol = np.inf
+    best_w = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed * 1_000_003 + r)
+        start = gram_schmidt_columns(random_quaternion_array((n, n), rng))
+        w, viol = _descend(start, targets)
+        if viol < best_viol:
+            best_viol = viol
+            best_w = w
+    return float(best_viol), QMatrix(best_w)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +492,8 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
                 if devs[pos] <= UNBIASED:
                     return QMatrix(cands[pos])
                 state.near_misses += 1
-                polished, viol = _descend(cands[pos][None], targets)
-                if viol[0] <= UNBIASED:
-                    return QMatrix(polished[0])
+                polished, viol = _descend(cands[pos], targets)
+                if viol <= UNBIASED:
+                    return QMatrix(polished)
             lo = hi
     return None

@@ -16,10 +16,9 @@ the elementwise Hamilton product (plus the generic-family generator
 feeding the sweep, and the chi conversions and the start-point QR of the
 descent), so a defect cannot hide in a comparison against them.
 
-Two references do share kernels, because what they check is the control
-flow around them: descend_loop, the one-restart-at-a-time loop that the
-stacked descent in qstoch.mub replaced, runs on that descent's kernels;
-tangent_generators reads qstoch.differential's generator table.  The
+Two references read a setting of the code they check: descend_qr takes
+the stall window of qstoch.mub's descent, so both stop by the same rule,
+and tangent_generators reads qstoch.differential's generator table.  The
 Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
 exponential used by the tests live here too.
 """
@@ -37,8 +36,7 @@ from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array)
-from qstoch.tol import (DESCENT_GOAL, DESCENT_STALL, GRADIENT_FLOOR,
-                       STEP_FLOOR)
+from qstoch.tol import DESCENT_STALL
 
 
 def hamilton_qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,50 +129,6 @@ def descend_qr(start: np.ndarray, targets, max_iter: int = 2000,
             break
     w = _from_chi_rows(x[::2])
     return w, max(cross_gram_deviation(w, b) for b in targets)
-
-
-def descend_loop(start: np.ndarray, targets, max_iter: int = 2000,
-                 stall: bool = True):
-    """One restart of mub._descend at a time: the sequential loop the
-    stacked descent replaced, on its kernels with a stack of one, with its
-    five stops (stall only when stall is true).  Returns the result, its
-    violation and the stop: "goal", "stall", "gradient floor", "step floor"
-    or "cap"."""
-    chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
-    x = mub._ChiBuffer(_chi_from_rows(_qr_retract(_chi(start[None]))))
-    cand = mub._ChiBuffer(np.empty_like(x.full))
-    y, dev, value = mub._deviations(x.full, chi_targets)
-    values = [float(value[0])]
-    step = 0.1
-    stop = "cap"
-    for _ in range(max_iter):
-        if np.abs(dev).max() <= DESCENT_GOAL:
-            stop = "goal"
-            break
-        if stall and _stalled(values):
-            stop = "stall"
-            break
-        rgrad = mub._riemannian_grad(x.full, mub._gradient(y, dev, chi_targets))
-        flat = rgrad.ravel().view(float)
-        gnorm2 = 0.5 * float(flat @ flat)
-        if gnorm2 < GRADIENT_FLOOR:
-            stop = "gradient floor"
-            break
-        while step > STEP_FLOOR:
-            mub._cholesky_retract(x.full - step * rgrad, cand)
-            cand_y, cand_dev, cand_value = mub._deviations(cand.full, chi_targets)
-            if cand_value[0] <= values[-1] - 0.3 * step * gnorm2:
-                x, cand = cand, x
-                y, dev = cand_y, cand_dev
-                values.append(float(cand_value[0]))
-                step *= 1.5
-                break
-            step *= 0.5
-        else:
-            stop = "step floor"
-            break
-    w = _from_chi_rows(x.even[0])
-    return w, max(cross_gram_deviation(w, b) for b in targets), stop
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import descend_loop, descend_qr, descent_objective
+from oracles import descend_qr, descent_objective
 
 from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
@@ -186,10 +186,10 @@ class TestDescentKernel:
         w = random_symplectic(3, seed=21).data
 
         def value(v):
-            return mub._deviations(_chi(v)[None], chi_targets)[2][0]
+            return mub._deviations(_chi(v), chi_targets)[2]
 
-        y, dev, _ = mub._deviations(_chi(w)[None], chi_targets)
-        grad = _from_chi_rows(mub._gradient(y, dev, chi_targets)[0, ::2])
+        y, dev, _ = mub._deviations(_chi(w), chi_targets)
+        grad = _from_chi_rows(mub._gradient(y, dev, chi_targets)[::2])
         h = 1e-6
         numeric = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
@@ -201,7 +201,7 @@ class TestDescentKernel:
     def test_objective_violation_matches_cross_gram_deviation(self):
         s = one_param_h3(R32, 0.0)
         w = random_symplectic(3, seed=22).data
-        _, dev, _ = mub._deviations(_chi(w)[None], self._chi_targets(s))
+        _, dev, _ = mub._deviations(_chi(w), self._chi_targets(s))
         want = max(cross_gram_deviation(w, b.data) for b in s.bases)
         assert np.max(np.abs(dev)) == pytest.approx(want, abs=1e-14)
 
@@ -209,18 +209,18 @@ class TestDescentKernel:
         s = three_param_h3(*(cube_root(2 * math.pi * k / 3) for k in range(3)))
         chi_targets = self._chi_targets(s)
         x = _chi(random_symplectic(3, seed=24).data)
-        y, dev, value = mub._deviations(x[None], chi_targets)
+        y, dev, value = mub._deviations(x, chi_targets)
         want_value, want_grad, want_viol = descent_objective(x, chi_targets)
-        assert value[0] == pytest.approx(want_value, rel=1e-14)
+        assert value == pytest.approx(want_value, rel=1e-14)
         assert np.max(np.abs(dev)) == pytest.approx(want_viol, rel=1e-14)
-        assert np.max(np.abs(mub._gradient(y, dev, chi_targets)[0] - want_grad)) < 1e-14
+        assert np.max(np.abs(mub._gradient(y, dev, chi_targets) - want_grad)) < 1e-14
 
     def test_riemannian_gradient_is_tangent(self):
         s = one_param_h3(0.0, R32)
-        x = _chi(random_symplectic(3, seed=23).data)[None]
+        x = _chi(random_symplectic(3, seed=23).data)
         y, dev, _ = mub._deviations(x, self._chi_targets(s))
         rgrad = mub._riemannian_grad(x, mub._gradient(y, dev, self._chi_targets(s)))
-        skew = x[0].conj().T @ rgrad[0]
+        skew = x.conj().T @ rgrad
         assert np.max(np.abs(skew + skew.conj().T)) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -230,14 +230,13 @@ class TestDescentKernel:
         # the descent stays below 0.5 on the H^2 and H^3 sets
         rng = np.random.default_rng(n)
         x = _chi(random_symplectic(n, seed=n).data)
-        g = mub._riemannian_grad(x[None], _chi(rng.standard_normal((1, n, n, 4))))[0]
+        g = mub._riemannian_grad(x, _chi(rng.standard_normal((n, n, 4))))
         c = x - size * g / np.linalg.norm(g, 2)
-        out = mub._ChiBuffer(np.empty((1, 2 * n, 2 * n), dtype=complex))
-        mub._cholesky_retract(c[None], out)
-        assert np.max(np.abs(out.even[0] - _qr_retract(c))) < 1e-13
+        out = mub._ChiBuffer(n)
+        mub._cholesky_retract(c, out)
+        assert np.max(np.abs(out.even - _qr_retract(c))) < 1e-13
         assert np.array_equal(out.full, _chi_from_rows(out.even))
-        assert np.max(np.abs(out.full[0].conj().T @ out.full[0]
-                             - np.eye(2 * n))) < 1e-13
+        assert np.max(np.abs(out.full.conj().T @ out.full - np.eye(2 * n))) < 1e-13
 
     def test_long_descent_matches_gram_schmidt_descent(self):
         # with an off-grid third basis, restarts 0-2 still lower the
@@ -248,15 +247,15 @@ class TestDescentKernel:
         # not
         s = _off_grid_prefix()
         targets = [b.data for b in s.bases]
-        starts = np.stack([_start(s.n, r) for r in range(3)])
-        w, viol = mub._descend(starts, targets)
         for r in range(3):
+            start = _start(s.n, r)
+            w, viol = mub._descend(start, targets)
             trials = []
-            w_ref, viol_ref = descend_qr(starts[r], targets, trials=trials)
+            w_ref, viol_ref = descend_qr(start, targets, trials=trials)
             assert sum(v <= bound for v, bound in trials) == 2000
-            assert viol[r] == pytest.approx(viol_ref, abs=1e-9)
-            assert np.max(np.abs(w[r] - w_ref)) < 1e-9
-            assert QMatrix(w[r]).is_symplectic(1e-12)
+            assert viol == pytest.approx(viol_ref, abs=1e-9)
+            assert np.max(np.abs(w - w_ref)) < 1e-9
+            assert QMatrix(w).is_symplectic(1e-12)
 
 
 def _start(n: int, restart: int, seed: int = 0) -> np.ndarray:
@@ -279,19 +278,18 @@ DESCENT_SETS = {
 
 
 def _lean_descent(monkeypatch, start, targets, max_iter):
-    """mub._descend's result from one start, and the objective at each of
-    its trial steps."""
+    """mub._descend's result and the objective at each of its trial steps."""
     values = []
     deviations = mub._deviations
 
     def record(x, chi_targets):
         out = deviations(x, chi_targets)
-        values.extend(out[2].tolist())
+        values.append(out[2])
         return out
 
     monkeypatch.setattr(mub, "_deviations", record)
-    w, _ = mub._descend(start[None], targets, max_iter=max_iter)
-    return w[0], values[1:]  # values[0] is the start
+    w, _ = mub._descend(start, targets, max_iter=max_iter)
+    return w, values[1:]  # values[0] is the start
 
 
 @pytest.mark.parametrize("name", sorted(DESCENT_SETS))
@@ -326,31 +324,23 @@ def test_short_descent_matches_qr_descent(monkeypatch, name, restart):
         assert np.max(np.abs(w - w_ref)) < 1e-12
 
 
-@pytest.mark.parametrize("name", sorted(DESCENT_SETS))
-def test_stacked_descent_matches_sequential_loop(name):
-    # the restarts of one stack stop at different rounds and for different
-    # reasons, so rows leave the stack while others go on
-    s = DESCENT_SETS[name]()
-    targets = [b.data for b in s.bases]
-    starts = np.stack([_start(s.n, r) for r in range(8)])
-    w, viol = mub._descend(starts, targets)
-    for r in range(8):
-        w_ref, viol_ref, _ = descend_loop(starts[r], targets)
-        assert np.max(np.abs(w[r] - w_ref)) < 1e-12
-        assert viol[r] == pytest.approx(viol_ref, abs=1e-12)
+def _without_stall(monkeypatch):
+    """mub._descend as it ran before the stall stop: a window longer than
+    the 2000-step cap never closes."""
+    monkeypatch.setattr(mub, "_STALL_WINDOW", 2001)
 
 
 def test_flat_restart_stops_by_stall(monkeypatch):
     # the objective of this restart is flat to 6 digits from about its
-    # 40th step; without the stall stop it ran to the 2000-step cap in 3168
-    # evaluations
+    # 40th step; without the stall stop it runs to the 2000-step cap
     s = DESCENT_SETS["three_param"]()
     targets = [b.data for b in s.bases]
     start = _start(s.n, 0)
-    _, _, stop = descend_loop(start, targets)
-    assert stop == "stall"
     _, values = _lean_descent(monkeypatch, start, targets, 2000)
     assert len(values) + 1 < 200
+    _without_stall(monkeypatch)
+    _, values = _lean_descent(monkeypatch, start, targets, 2000)
+    assert len(values) + 1 > 2000
 
 
 # {I, F_3}, the theta = 0 prefix of one_param_h3 and the first two and three
@@ -365,14 +355,15 @@ POSITIVE_CONTROLS = {
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_CONTROLS))
-def test_stall_stop_keeps_every_extension(name):
+def test_stall_stop_keeps_every_extension(monkeypatch, name):
     build, want = POSITIVE_CONTROLS[name]
     s = build()
     targets = [b.data for b in s.bases]
-    starts = np.stack([_start(s.n, r) for r in range(50)])
-    _, viol = mub._descend(starts, targets)
-    no_stall = [descend_loop(x, targets, stall=False)[1] for x in starts]
-    assert np.sum(viol < 1e-8) == np.sum(np.array(no_stall) < 1e-8) == want
+    starts = [_start(s.n, r) for r in range(50)]
+    viol = [mub._descend(x, targets)[1] for x in starts]
+    _without_stall(monkeypatch)
+    no_stall = [mub._descend(x, targets)[1] for x in starts]
+    assert np.sum(np.array(viol) < 1e-8) == np.sum(np.array(no_stall) < 1e-8) == want
 
 
 @pytest.mark.parametrize("build", [
