@@ -13,10 +13,6 @@ class NonUnitConjugator(QStochError):
     """Conjugation was requested by a quaternion that is not unit norm."""
 
 
-class NotPure(QStochError):
-    """An operation requiring pure quaternions received one with a scalar part."""
-
-
 class DimensionMismatch(QStochError):
     """Matrix shapes are incompatible for the requested operation."""
 

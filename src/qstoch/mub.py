@@ -279,7 +279,8 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000)
     trial step costs a Cholesky QR retraction and the objective; the
     gradient and the violation are formed only at accepted points, where
     the five stops that direct_maximality_search lists are tested, with
-    max_iter accepted steps as the cap.
+    max_iter accepted steps as the cap.  Returns W, its violation and the
+    number of accepted steps.
     """
     chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
     x, cand = _ChiBuffer(start.shape[0]), _ChiBuffer(start.shape[0])
@@ -313,7 +314,8 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000)
         else:  # no step down to STEP_FLOOR decreased the objective
             break
     w = _from_chi_rows(x.even)
-    return w, max(cross_gram_deviation(w, b) for b in targets)
+    return (w, max(cross_gram_deviation(w, b) for b in targets),
+            len(values) - 1)
 
 
 def direct_maximality_search(mubset: MubSet, restarts: int = 50,
@@ -346,7 +348,7 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     for r in range(restarts):
         rng = np.random.default_rng(seed * 1_000_003 + r)
         start = gram_schmidt_columns(random_quaternion_array((n, n), rng))
-        w, viol = _descend(start, targets)
+        w, viol, _ = _descend(start, targets)
         if viol < best_viol:
             best_viol = viol
             best_w = w
@@ -492,7 +494,7 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
                 if devs[pos] <= UNBIASED:
                     return QMatrix(cands[pos])
                 state.near_misses += 1
-                polished, viol = _descend(cands[pos], targets)
+                polished, viol, _ = _descend(cands[pos], targets)
                 if viol <= UNBIASED:
                     return QMatrix(polished)
             lo = hi

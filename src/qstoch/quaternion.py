@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitConjugator, NotPure
 from .tol import APPROX_EQ, DEGENERATE, PURE_PART, UNIT_NORM
 
 
@@ -91,9 +90,6 @@ class Quaternion:
     def pure_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_pure(self) -> bool:
-        return abs(self.w) <= PURE_PART
-
     def is_unit(self) -> bool:
         """|q| = 1 within UNIT_NORM; False when a coordinate is NaN."""
         return abs(self.norm() - 1.0) <= UNIT_NORM
@@ -111,10 +107,6 @@ class Quaternion:
         w, x, y, z = (float(v) for v in arr)
         return Quaternion(w, x, y, z)
 
-    @staticmethod
-    def from_complex(c: complex) -> "Quaternion":
-        return Quaternion(c.real, c.imag, 0.0, 0.0)
-
     def __str__(self) -> str:
         return format_quaternion(self)
 
@@ -131,35 +123,6 @@ def _coerce(value) -> Quaternion:
     if isinstance(value, (int, float)):
         return Quaternion(float(value), 0.0, 0.0, 0.0)
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
-
-
-def conjugate_by(q: Quaternion, x: Quaternion) -> Quaternion:
-    """Return x*q*x^-1 for a unit-norm conjugator x.
-
-    Preserves the norm and the scalar part of q.
-    """
-    q, x = _coerce(q), _coerce(x)
-    if not x.is_unit():
-        raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1 within {UNIT_NORM}")
-    return x * q * x.conjugate()
-
-
-def pure_dot_cross(p: Quaternion, q: Quaternion) -> tuple[float, Quaternion]:
-    """Euclidean dot and cross product of two pure quaternions.
-
-    Satisfies p*q = -dot + cross as quaternions.
-    """
-    p, q = _coerce(p), _coerce(q)
-    if not p.is_pure() or not q.is_pure():
-        raise NotPure("pure_dot_cross requires pure quaternions")
-    dot = p.x * q.x + p.y * q.y + p.z * q.z
-    cross = Quaternion(
-        0.0,
-        p.y * q.z - p.z * q.y,
-        p.z * q.x - p.x * q.z,
-        p.x * q.y - p.y * q.x,
-    )
-    return dot, cross
 
 
 def aligning_conjugator(q: Quaternion) -> Quaternion:

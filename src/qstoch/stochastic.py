@@ -1,7 +1,9 @@
 """Bistochastic matrices and membership machinery for ortho/qu-stochastic sets.
 
 Everything here works on plain float arrays; quaternion inputs enter only
-through phi, the entrywise squared-norm map.
+through phi, the entrywise squared-norm map.  The distance from J_3 to the
+orthostochastic surface is searched with mub's Sp(n) descent, which a real
+orthogonal start keeps in O(3).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
-from .qmatrix import QMatrix
-from .tol import (BFGS_GTOL, BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP,
+from .mub import _descend
+from .qmatrix import QMatrix, haar_orthogonal, qmat_eye
+from .tol import (BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP,
                   ORTHO3_RESIDUAL, SIGMA_MIN)
 
 
@@ -300,35 +303,18 @@ def segment_block_analysis(sigma, tau, p: float) -> SegmentVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_and_partials(angles: np.ndarray):
-    """Z-Y-Z Euler rotation and its three partial derivatives."""
-    a, b, c = angles
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cc, sc = np.cos(c), np.sin(c)
-    rza = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-    drza = np.array([[-sa, -ca, 0], [ca, -sa, 0], [0, 0, 0]])
-    ryb = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    dryb = np.array([[-sb, 0, cb], [0, 0, 0], [-cb, 0, -sb]])
-    rzc = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]])
-    drzc = np.array([[-sc, -cc, 0], [cc, -sc, 0], [0, 0, 0]])
-    r = rza @ ryb @ rzc
-    return r, (drza @ ryb @ rzc, rza @ dryb @ rzc, rza @ ryb @ drzc)
+def minimize(start: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """One restart of the J_3 distance search from a real orthogonal start.
 
-
-def _j3_objective(angles: np.ndarray):
-    r, partials = _rotation_and_partials(angles)
+    At a real R the objective sum (r_ij^2 - 1/3)^2 is the Sp(3) descent's
+    objective toward the one basis I_3, and from a real start every
+    gradient, projection and retraction of that descent stays real, so it
+    runs over O(3).  Returns R, the objective at R and the accepted steps.
+    """
+    w, _, steps = _descend(QMatrix.from_real(start).data, [qmat_eye(3)])
+    r = w[..., 0]
     dev = r * r - 1.0 / 3.0
-    f = float(np.sum(dev * dev))
-    grad = np.array([4.0 * np.sum(dev * r * dr) for dr in partials])
-    return f, grad
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call: the import takes
-    most of a second and only the J_3 distance needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    return r, float(np.sum(dev * dev)), steps
 
 
 @dataclass(frozen=True)
@@ -343,26 +329,22 @@ def distance_j3_report(restarts: int = 100, seed: int = 0) -> DistanceResult:
     """Multi-start descent for the Frobenius distance from J_3 to the
     orthostochastic surface.
 
-    The search runs over SO(3) in Z-Y-Z angles with the exact chain-rule
-    gradient (sign flips do not change the image, so SO(3) covers it) and
-    keeps the best local minimum across restarts.
+    Each restart runs minimize from a Haar O(3) start; the result keeps
+    the best local minimum across restarts, and its iterations are the
+    accepted descent steps summed over them.
     """
     if restarts < 1:
         raise WrongSize("restarts must be >= 1")
     rng = np.random.default_rng(seed)
     best_f = np.inf
-    best_angles = None
+    best_r = None
     total_iter = 0
     for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        res = minimize(_j3_objective, x0, jac=True, method="BFGS",
-                       options={"gtol": BFGS_GTOL, "maxiter": 500})
-        total_iter += int(res.nit)
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            best_angles = res.x
-    r, _ = _rotation_and_partials(best_angles)
-    minimizer = BistochasticMatrix(r * r)
+        r, f, steps = minimize(haar_orthogonal(3, rng))
+        total_iter += steps
+        if f < best_f:
+            best_f, best_r = f, r
+    minimizer = BistochasticMatrix(best_r * best_r)
     return DistanceResult(float(np.sqrt(best_f)), minimizer, total_iter, restarts)
 
 

@@ -17,7 +17,7 @@ HADAMARD = 1e-9
 
 # | |q| - 1 | of a quaternion taken as unit
 UNIT_NORM = 1e-9
-# |Re q| of a quaternion taken as pure, and |Im q| of one taken as real
+# |Im q| of a quaternion taken as real
 PURE_PART = 1e-9
 # max entry norm of the difference of two quaternions or matrices taken as equal
 APPROX_EQ = 1e-9
@@ -87,7 +87,5 @@ GRADIENT_FLOOR = 1e-30
 # ratio: fall of the descent objective over mub._STALL_WINDOW accepted steps,
 # over its value, at or below which a restart stops
 DESCENT_STALL = 1e-6
-# BFGS gradient norm (scipy gtol) at which the J_3 distance search stops
-BFGS_GTOL = 1e-10
 # distance of a cosine from +-1, or size of the phi amplitude, taken as degenerate
 DEGENERATE = 1e-15

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,13 +151,13 @@ class TestStochasticCommands:
         assert capsys.readouterr().out == (
             "distance=0.4714045208\n"
             "rmat 3 3\n"
-            "0.11111111171663658 0.44444444452398774 0.44444444375937553\n"
-            "0.44444444361420526 0.44444444512255499 0.11111111126323964\n"
-            "0.444444444669158 0.11111111035345712 0.44444444497738478\n")
+            "0.44444444404420236 0.44444444473360067 0.11111111122219702\n"
+            "0.4444444443085479 0.11111111046388664 0.44444444522756554\n"
+            "0.11111111164724971 0.44444444480251277 0.4444444435502376\n")
         assert main(["--format", "csv", "distance-j3", "--restarts", "5",
                      "--seed", "1"]) == 0
         assert capsys.readouterr().out == (
-            "distance,iterations,restarts\n0.47140452079103157,71,5\n")
+            "distance,iterations,restarts\n0.47140452079103168,182,5\n")
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         env = dict(os.environ)
@@ -165,6 +167,31 @@ class TestStochasticCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+    def test_distance_j3_loads_no_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qstoch.__file__))
+        code = ("import contextlib, io, sys, qstoch.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    qstoch.cli.main(['distance-j3', '--restarts', '2'])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_no_module_imports_scipy(self):
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_n1_sigma_and_bruteforce(self, tmp_path, capsys):
         path = tmp_path / "one.rmat"

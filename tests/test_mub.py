@@ -249,7 +249,7 @@ class TestDescentKernel:
         targets = [b.data for b in s.bases]
         for r in range(3):
             start = _start(s.n, r)
-            w, viol = mub._descend(start, targets)
+            w, viol, _ = mub._descend(start, targets)
             trials = []
             w_ref, viol_ref = descend_qr(start, targets, trials=trials)
             assert sum(v <= bound for v, bound in trials) == 2000
@@ -288,7 +288,7 @@ def _lean_descent(monkeypatch, start, targets, max_iter):
         return out
 
     monkeypatch.setattr(mub, "_deviations", record)
-    w, _ = mub._descend(start, targets, max_iter=max_iter)
+    w, _, _ = mub._descend(start, targets, max_iter=max_iter)
     return w, values[1:]  # values[0] is the start
 
 

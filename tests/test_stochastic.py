@@ -12,7 +12,7 @@ from qstoch.errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from qstoch.qmatrix import QMatrix, fourier, haar_orthogonal, random_symplectic
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                distance_j3_report, hurwitz_radon_matrix,
-                               ortho3_residual, ortho3_test,
+                               minimize, ortho3_residual, ortho3_test,
                                orthostochastic_bruteforce,
                                permutation_array, phi, segment_block_analysis,
                                sigma_check, sigma_pair_minima, sigma_poly_4,
@@ -411,6 +411,25 @@ class TestDistanceJ3:
         assert r1.distance == r2.distance
         assert np.array_equal(r1.minimizer.mat, r2.minimizer.mat)
         assert r1.iterations == r2.iterations
+
+
+class TestDescentOverO3:
+    def test_minimize_stays_orthogonal(self):
+        # from a real start the Sp(3) descent never leaves O(3)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            r, f, steps = minimize(haar_orthogonal(3, rng))
+            assert r.shape == (3, 3) and r.dtype == float
+            assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-14
+            assert f == pytest.approx(np.sum((r * r - 1 / 3) ** 2), rel=1e-12)
+            assert steps > 0
+
+    @pytest.mark.parametrize("restarts", [1, 5])
+    def test_every_seed_reaches_the_distance(self, restarts):
+        misses = [seed for seed in range(100)
+                  if abs(distance_j3_report(restarts, seed).distance
+                         - math.sqrt(2) / 3) > 1e-12]
+        assert misses == []
 
 
 class TestHurwitzRadon:
