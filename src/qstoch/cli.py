@@ -50,27 +50,17 @@ def _cmd_phi(args) -> int:
     return EXIT_TRUE
 
 
-def _cmd_verify_hadamard(args) -> int:
-    ok = load_qmatrix(args.file).is_hadamard(args.tol)
-    print(f"hadamard={'true' if ok else 'false'}")
-    return EXIT_TRUE if ok else EXIT_FALSE
-
-
-def _cmd_verify_symplectic(args) -> int:
-    ok = load_qmatrix(args.file).is_symplectic(args.tol)
-    print(f"symplectic={'true' if ok else 'false'}")
+def _cmd_predicate(args) -> int:
+    """verify-hadamard, verify-symplectic and splits: args.test on the
+    matrix at args.tol, printed as label=true or label=false."""
+    ok = args.test(load_qmatrix(args.file), args.tol)
+    print(f"{args.label}={'true' if ok else 'false'}")
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
 def _cmd_dephase(args) -> int:
     sys.stdout.write(write_qmat(load_qmatrix(args.file).dephase()))
     return EXIT_TRUE
-
-
-def _cmd_splits(args) -> int:
-    ok = load_qmatrix(args.file).splits(args.tol)
-    print(f"splits={'true' if ok else 'false'}")
-    return EXIT_TRUE if ok else EXIT_FALSE
 
 
 def _cmd_jacobian(args) -> int:
@@ -270,12 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-hadamard")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=HADAMARD)
-    p.set_defaults(func=_cmd_verify_hadamard)
+    p.set_defaults(func=_cmd_predicate, test=QMatrix.is_hadamard,
+                   label="hadamard")
 
     p = sub.add_parser("verify-symplectic")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=GROUP)
-    p.set_defaults(func=_cmd_verify_symplectic)
+    p.set_defaults(func=_cmd_predicate, test=QMatrix.is_symplectic,
+                   label="symplectic")
 
     p = sub.add_parser("dephase")
     p.add_argument("file")
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("splits")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=ZERO_ENTRY)
-    p.set_defaults(func=_cmd_splits)
+    p.set_defaults(func=_cmd_predicate, test=QMatrix.splits, label="splits")
 
     p = sub.add_parser("jacobian")
     p.add_argument("--map", choices=differential.MAP_KINDS, required=True)
@@ -332,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--x")
     p.add_argument("--branch", choices=("+", "-"), default="+")
-    p.add_argument("--family", choices=("s1", "s2", "s3", "s4", "s5"))
+    p.add_argument("--family", choices=hadamard.FAMILY_IDS[1:])
     p.add_argument("--params")
     p.add_argument("--variant", type=int, default=0)
     p.set_defaults(func=_cmd_construct)

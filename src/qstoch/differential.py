@@ -159,6 +159,10 @@ class ClassifyResult:
                 f"verdict={self.verdict}")
 
 
+# the sizes at which the zero-pattern rules decide, per map
+_PATTERN_SIZES = {"r": range(2, 5), "c": range(2, 4), "h": range(2, 4)}
+
+
 def _zero_mask_stable(norms: np.ndarray):
     """Zero mask at ZERO_ENTRY, or None when a norm sits in the ambiguous band."""
     band = (norms > ZERO_ENTRY) & (norms < ZERO_ENTRY * ZERO_BAND)
@@ -169,27 +173,18 @@ def _zero_mask_stable(norms: np.ndarray):
 
 def _pattern_verdict_r(p: QMatrix) -> str:
     n = p.rows
-    norms = p.norms()
-    mask = _zero_mask_stable(norms)
+    if n not in _PATTERN_SIZES["r"]:
+        raise UnsupportedSize("pattern classification for map r needs n <= 4")
+    mask = _zero_mask_stable(p.norms())
     if mask is None:
         return "undecided"
-    if n == 2:
-        if mask[0, 1] and mask[1, 0]:
-            return "singular"
-        if mask[0, 0] and mask[1, 1]:
-            return "singular"
-        return "regular"
-    if n == 3:
-        return "singular" if p.splits() else "regular"
-    if n == 4:
-        if p.splits():
-            return "singular"
-        # second type: zeros form a transversal, everything else nonzero
-        if (mask.sum() == 4 and (mask.sum(axis=0) == 1).all()
-                and (mask.sum(axis=1) == 1).all()):
-            return "singular"
-        return "regular"
-    raise UnsupportedSize("pattern classification for map r needs n <= 4")
+    if p.splits():
+        return "singular"
+    # n = 4 has a second type: zeros form a transversal, everything else nonzero
+    if (n == 4 and mask.sum() == 4 and (mask.sum(axis=0) == 1).all()
+            and (mask.sum(axis=1) == 1).all()):
+        return "singular"
+    return "regular"
 
 
 def _reduce_to_complex(p: QMatrix) -> QMatrix | None:
@@ -227,27 +222,23 @@ _PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 def _pattern_verdict_ch(p: QMatrix) -> str:
     n = p.rows
-    norms = p.norms()
-    mask = _zero_mask_stable(norms)
-    if mask is None:
+    if n not in _PATTERN_SIZES["c"]:
+        raise UnsupportedSize("pattern classification for maps c,h needs n <= 3")
+    if _zero_mask_stable(p.norms()) is None:
         return "undecided"
+    if p.splits():
+        return "critical"
     if n == 2:
-        if (mask[0, 1] and mask[1, 0]) or (mask[0, 0] and mask[1, 1]):
-            return "critical"
         return "regular"
-    if n == 3:
-        if p.splits():
-            return "critical"
-        reduced = _reduce_to_complex(p)
-        if reduced is None:
-            return "undecided"
-        imag = reduced.max_imag()
-        if imag <= REDUCED_ZERO:
-            return "critical"
-        if imag >= REDUCED_REGULAR:
-            return "regular"
+    reduced = _reduce_to_complex(p)
+    if reduced is None:
         return "undecided"
-    raise UnsupportedSize("pattern classification for maps c,h needs n <= 3")
+    imag = reduced.max_imag()
+    if imag <= REDUCED_ZERO:
+        return "critical"
+    if imag >= REDUCED_REGULAR:
+        return "regular"
+    return "undecided"
 
 
 def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
@@ -268,13 +259,11 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
     cdim = codomain_dim(n)
     if map_kind == "r":
         verdict = "singular" if rank < ddim else "regular"
-        supported = n <= 4
     else:
         verdict = "critical" if rank < cdim else "regular"
-        supported = n <= 3
     pattern = None
     reason = f"rank {rank} vs domain {ddim}, codomain {cdim}"
-    if cross_check and supported:
+    if cross_check and n in _PATTERN_SIZES[map_kind]:
         if map_kind == "r":
             pattern = _pattern_verdict_r(p)
         else:

@@ -11,8 +11,8 @@ Fourier matrix.  The 3x3 matrices share the frame
 with z = -1/2 + s*i + t*j on the circle s^2 + t^2 = 3/4; such a frame is
 automatically Hadamard, and the families pin down which (a, b, z) are also
 unbiased to the Fourier matrix.  Array-valued builders (suffix _arr) power
-the grid sweeps in the MUB search; family3_matrix, p_value, generic3 and
-special3 are their one-row case.  The builders return (a, b, zeta) rows.
+the grid sweeps in the MUB search; generic3 and special3 are their one-row
+case.  The builders return (a, b, zeta) rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from .tol import (A_POLE, DEGENERATE, FAMILY_RESIDUAL, P_FLOOR, ROOT_MERGE,
 R32 = math.sqrt(3.0) / 2.0
 OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
 
-FAMILY_IDS = ("generic", "s1", "s2", "s3", "s4", "s5")
+# per special family: its parameter names and the number of its sign bits
+_SPECIAL = {"s1": (("beta", "theta"), 0), "s2": (("theta", "psi"), 1),
+            "s3": (("theta", "psi"), 1), "s4": (("psi",), 3),
+            "s5": (("a1", "psi"), 4)}
+FAMILY_IDS = ("generic", *_SPECIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +113,6 @@ def generic4(params: Generic4Params) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# scalar invariants of the 3x3 problem
-# ---------------------------------------------------------------------------
-
-
-def p_value(a: Quaternion, s: float, t: float) -> float:
-    """(a3^2 + a4^2) s + (a1 a4 - a2 a3) t."""
-    return float(p_arr(a.as_array(), s, t))
-
-
-def family3_matrix(a: Quaternion, b: Quaternion, zeta: Quaternion) -> QMatrix:
-    """The shared 3x3 Hadamard frame for the six families."""
-    return QMatrix(family3_matrix_arr(np.stack([q.as_array() for q in (a, b, zeta)])))
-
-
-# ---------------------------------------------------------------------------
 # generic 3x3 family
 # ---------------------------------------------------------------------------
 
@@ -195,10 +184,6 @@ def _quat(w, x, y, z) -> np.ndarray:
     return np.stack(np.broadcast_arrays(w, x, y, z), axis=-1)
 
 
-_SPECIAL_PARAMS = {"s1": ("beta", "theta"), "s2": ("theta", "psi"),
-                   "s3": ("theta", "psi"), "s4": ("psi",), "s5": ("a1", "psi")}
-
-
 def special3_arr(family_id: str, params, variants):
     """Members of a special family for a batch of parameter rows.
 
@@ -207,13 +192,13 @@ def special3_arr(family_id: str, params, variants):
     mask that is False where special3 raises NoRealSolution; those rows are
     not family members.
     """
-    if family_id not in _SPECIAL_PARAMS:
+    if family_id not in _SPECIAL:
         raise BadParams(f"unknown special family {family_id!r}")
-    names = _SPECIAL_PARAMS[family_id]
+    names, bits = _SPECIAL[family_id]
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != len(names):
         raise BadParams(f"{family_id} takes ({', '.join(names)})")
-    variants = np.asarray(variants)
+    signs = _signs(np.asarray(variants), bits)
     ok = np.ones(params.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         if family_id == "s1":
@@ -221,7 +206,7 @@ def special3_arr(family_id: str, params, variants):
             a, b, zeta = _quat(1.0, 0.0, 0.0, 0.0), _zeta_arr(beta), _zeta_arr(theta)
         elif family_id == "s2":
             theta, psi = params.T
-            (sel,) = _signs(variants, 1)
+            (sel,) = signs
             zeta = _zeta_arr(theta)
             a = np.where(sel[:, None] > 0, zeta, qmul(zeta, zeta))
             cos, sin = np.cos(psi), np.sin(psi)
@@ -230,7 +215,7 @@ def special3_arr(family_id: str, params, variants):
             b = _quat(1.0 - 2.0 * g * g, g * cos, g * sin, 2.0 * g * h)
         elif family_id == "s3":
             theta, psi = params.T
-            (sel,) = _signs(variants, 1)
+            (sel,) = signs
             ax = sel * R32
             b2 = ax / 2.0 + (math.sqrt(3.0) / 4.0) * np.cos(psi)
             b3 = (math.sqrt(3.0) / 4.0) * np.sin(psi)
@@ -239,7 +224,7 @@ def special3_arr(family_id: str, params, variants):
             zeta = _zeta_arr(theta)
         elif family_id == "s4":
             (psi,) = params.T
-            e2, e3, et = _signs(variants, 3)
+            e2, e3, et = signs
             a2, a3 = e2 * math.sqrt(3.0) / 4.0, e3 * math.sqrt(3.0) / 4.0
             a4 = 4.0 * a2 * a3
             a = _quat(0.25, a2, a3, a4)
@@ -250,7 +235,7 @@ def special3_arr(family_id: str, params, variants):
             b, ok = _ellipse_solution(_quat(-0.5, 0.0, 2.0 * a3, 0.0), bw, psi, ok)
         else:  # s5
             a1, psi = params.T
-            e2, e3, e4, et = _signs(variants, 4)
+            e2, e3, e4, et = signs
             a2 = e2 * (1.0 - a1) / math.sqrt(3.0)
             q = (1.0 - a1) * (1.0 + 2.0 * a1) / 6.0
             a3 = e3 * np.sqrt(q)
@@ -278,9 +263,10 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
       s3: (theta, psi)    a = omega or omega^2 (variant bit 0)
       s4: (psi,)          variant bits: sign(a2), sign(a3), sign(t)
       s5: (a1, psi)       variant bits: sign(a2), sign(a3), sign(a4), sign(t)
-    The completion solves the family's linear constraints plus |b| = 1;
-    NoRealSolution signals an infeasible sign combination.  This is the
-    one-row case of special3_arr.
+    A family with k sign bits takes the variants 0 .. 2^k - 1, so s1 takes
+    only 0.  The completion solves the family's linear constraints plus
+    |b| = 1; NoRealSolution signals an infeasible sign combination.  This
+    is the one-row case of special3_arr.
     """
     rows, ok = special3_arr(family_id, [tuple(params)], [variant])
     if not ok[0]:
@@ -315,11 +301,12 @@ def verify_family3(m: QMatrix, family_id: str,
     checks = [
         abs(a.norm() - 1.0), abs(b.norm() - 1.0), abs(zeta.norm() - 1.0),
         abs(zeta.w + 0.5), abs(zeta.z),
-        float(np.max(np.abs(m.data - family3_matrix(a, b, zeta).data))),
+        float(np.max(np.abs(m.data - family3_matrix_arr(
+            np.stack([a.as_array(), b.as_array(), zeta.as_array()]))))),
     ]
     if max(checks) > tol:
         return False
-    pv = p_value(a, s, t)
+    pv = float(p_arr(a.as_array(), s, t))
     if family_id == "generic":
         alpha0, alpha1, alpha2 = alphas_arr(a.as_array())
         b_mat, v = mub3_system_arr(a.as_array(), zeta.as_array())
@@ -501,14 +488,15 @@ def special_family_rows(family_id: str, resolution: int) -> np.ndarray:
     """All grid points of a special family at the given per-axis resolution,
     as (N,3,4) rows (a, b, zeta) ordered by (variant, first parameter,
     second parameter).  Infeasible sign combinations are skipped."""
-    res = int(resolution)
-    angles = np.arange(res) * 2.0 * np.pi / res
-    axes = {"s1": [(0,), angles, angles], "s2": [(0, 1), angles, angles],
-            "s3": [(0, 1), angles, angles], "s4": [range(8), angles],
-            "s5": [range(16), -0.5 + (np.arange(res) + 0.5) * 1.5 / res, angles]}
-    if family_id not in axes:
+    if family_id not in _SPECIAL:
         raise BadParams(f"unknown special family {family_id!r}")
+    names, bits = _SPECIAL[family_id]
+    res = int(resolution)
+    # a1 spans (-1/2, 1), where s5 has real members; every other axis is an angle
+    grids = {"a1": -0.5 + (np.arange(res) + 0.5) * 1.5 / res}
+    angles = np.arange(res) * 2.0 * np.pi / res
     variant, *params = (g.ravel() for g in np.meshgrid(
-        *(np.asarray(ax) for ax in axes[family_id]), indexing="ij"))
+        np.arange(1 << bits), *(grids.get(name, angles) for name in names),
+        indexing="ij"))
     rows, ok = special3_arr(family_id, np.stack(params, axis=1), variant)
     return rows[ok]

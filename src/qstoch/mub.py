@@ -24,7 +24,7 @@ from .errors import (BadParams, DimensionMismatch, NotNormalized,
 from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
                       _qr_retract, fourier, gram_schmidt_columns, identity,
                       qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
-                      random_quaternion_array, read_matrix_text, write_qmat)
+                      random_quaternion_array, read_qmatrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
 from .tol import (DESCENT_GOAL, DESCENT_STALL, GRADIENT_FLOOR, GROUP,
                   NEAR_MISS, STEP_FLOOR, UNBIASED, ZETA_CIRCLE)
@@ -190,11 +190,9 @@ def write_mubset(mubset: MubSet) -> str:
 
 
 def read_mubset_matrices(text: str) -> list[QMatrix]:
-    blocks = [blk for blk in re.split(r"\n\s*\n", text) if blk.strip()]
-    bases = []
-    for blk in blocks:
-        kind, m = read_matrix_text(blk)
-        bases.append(m if kind == "qmat" else QMatrix.from_real(m))
+    """The blocks of a mub set file; rmat blocks become real QMatrix."""
+    bases = [read_qmatrix_text(blk) for blk in re.split(r"\n\s*\n", text)
+             if blk.strip()]
     if not bases:
         raise BadParams("no matrices in mub set file")
     return bases
@@ -207,6 +205,8 @@ def read_mubset_matrices(text: str) -> list[QMatrix]:
 # accepted steps over which a restart must lower its objective by more than
 # DESCENT_STALL of its value to go on
 _STALL_WINDOW = 20
+# accepted steps after which a restart stops in any case
+_MAX_STEPS = 2000
 
 
 class _ChiBuffer:
@@ -271,7 +271,7 @@ def _riemannian_grad(x: np.ndarray, euclid: np.ndarray) -> np.ndarray:
     return euclid - x @ (0.5 * (xg + xg.conj().T))
 
 
-def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000):
+def _descend(start: np.ndarray, targets: list[np.ndarray]):
     """Backtracking gradient descent over Sp(n) with a QR retraction.
 
     W and the targets stay in chi form for the whole descent; the result
@@ -279,7 +279,7 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000)
     trial step costs a Cholesky QR retraction and the objective; the
     gradient and the violation are formed only at accepted points, where
     the five stops that direct_maximality_search lists are tested, with
-    max_iter accepted steps as the cap.  Returns W, its violation and the
+    _MAX_STEPS accepted steps as the cap.  Returns W, its violation and the
     number of accepted steps.
     """
     chi_targets = np.concatenate([_chi(b) for b in targets], axis=1)
@@ -289,7 +289,7 @@ def _descend(start: np.ndarray, targets: list[np.ndarray], max_iter: int = 2000)
     y, dev, value = _deviations(x.full, chi_targets)
     values = [value]  # the objective at each accepted point
     step = 0.1
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         if np.abs(dev).max() <= DESCENT_GOAL:
             break
         if (len(values) > _STALL_WINDOW and values[-1 - _STALL_WINDOW] - value
@@ -332,7 +332,7 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     - gradient floor: its squared Riemannian gradient norm is below
       GRADIENT_FLOOR;
     - step floor: no step down to STEP_FLOOR lowered its objective;
-    - cap: it has taken 2000 accepted steps.
+    - cap: it has taken _MAX_STEPS (2000) accepted steps.
 
     Returns the smallest violation found and the achieving matrix, the
     first restart's on a tie.  A violation bounded away from zero across

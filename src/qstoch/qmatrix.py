@@ -267,29 +267,19 @@ class QMatrix:
 
         Rows and columns are the two sides of a bipartite graph with an edge
         where the entry norm exceeds tol; the matrix splits exactly when the
-        graph is disconnected.
+        graph is disconnected.  The component of row 0 grows by whole
+        neighbourhoods until it stops changing.
         """
         if not self.is_square:
             raise DimensionMismatch("splits is defined for square matrices")
-        n = self.rows
         adj = self.norms() > tol
-        seen_rows = np.zeros(n, dtype=bool)
-        seen_cols = np.zeros(n, dtype=bool)
-        stack = [("r", 0)]
-        seen_rows[0] = True
-        while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for j in np.nonzero(adj[idx])[0]:
-                    if not seen_cols[j]:
-                        seen_cols[j] = True
-                        stack.append(("c", j))
-            else:
-                for i in np.nonzero(adj[:, idx])[0]:
-                    if not seen_rows[i]:
-                        seen_rows[i] = True
-                        stack.append(("r", i))
-        return not (seen_rows.all() and seen_cols.all())
+        rows = np.arange(self.rows) == 0
+        while True:
+            cols = adj[rows].any(axis=0)
+            grown = rows | adj[:, cols].any(axis=1)
+            if (grown == rows).all():
+                return not (rows.all() and cols.all())
+            rows = grown
 
     # -- normal forms ---------------------------------------------------------
 

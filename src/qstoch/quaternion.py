@@ -162,7 +162,7 @@ def parse_quaternion(text: str) -> Quaternion:
     return Quaternion(w, x, y, z)
 
 
-def format_quaternion(q: Quaternion, digits: int = 17) -> str:
-    """Render ``(w,x,y,z)`` with enough digits for a bit-exact round trip."""
-    fmt = f"%.{digits}g"
-    return "(" + ",".join(fmt % v for v in (q.w, q.x, q.y, q.z)) + ")"
+def format_quaternion(q: Quaternion) -> str:
+    """Render ``(w,x,y,z)`` with 17 significant digits, enough for a
+    bit-exact round trip."""
+    return "(" + ",".join("%.17g" % v for v in (q.w, q.x, q.y, q.z)) + ")"

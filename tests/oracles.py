@@ -9,12 +9,14 @@ closed form in qstoch.hadamard replaced, the Sp(n) descent loop with
 a Householder QR retraction and a full objective at every trial step that
 the lean loop in qstoch.mub replaced, the exhaustive sign
 enumerations that the meet-in-the-middle sigma search and the column-by-
-column pattern completion in qstoch.stochastic replaced, and the Jacobian
+column pattern completion in qstoch.stochastic replaced, the Jacobian
 built one dense generator at a time that the two-row columns in
-qstoch.differential replaced.  They share no code path with those beyond
-the elementwise Hamilton product (plus the generic-family generator
-feeding the sweep, and the chi conversions and the start-point QR of the
-descent), so a defect cannot hide in a comparison against them.
+qstoch.differential replaced, and the depth-first split test and the
+n = 2 zero-mask rules that QMatrix.splits replaced.  They share no code
+path with those beyond the elementwise Hamilton product (plus the
+generic-family generator feeding the sweep, and the chi conversions and
+the start-point QR of the descent), so a defect cannot hide in a
+comparison against them.
 
 Two references read a setting of the code they check: descend_qr takes
 the stall window of qstoch.mub's descent, so both stop by the same rule,
@@ -560,6 +562,43 @@ def orthostochastic_bruteforce_tensor(b: BistochasticMatrix, tol: float = 1e-8):
     if hits.size == 0:
         return None
     return SignPattern(n, pats[hits[0]].copy())
+
+
+# ---------------------------------------------------------------------------
+# the zero-pattern rules before they went through QMatrix.splits
+# ---------------------------------------------------------------------------
+
+
+def splits_dfs(adj: np.ndarray) -> bool:
+    """True when the bipartite row/column graph with the n x n adjacency
+    adj is disconnected, by a depth-first search from row 0."""
+    n = adj.shape[0]
+    seen_rows = np.zeros(n, dtype=bool)
+    seen_cols = np.zeros(n, dtype=bool)
+    stack = [("r", 0)]
+    seen_rows[0] = True
+    while stack:
+        kind, idx = stack.pop()
+        if kind == "r":
+            for j in np.nonzero(adj[idx])[0]:
+                if not seen_cols[j]:
+                    seen_cols[j] = True
+                    stack.append(("c", j))
+        else:
+            for i in np.nonzero(adj[:, idx])[0]:
+                if not seen_rows[i]:
+                    seen_rows[i] = True
+                    stack.append(("r", i))
+    return not (seen_rows.all() and seen_cols.all())
+
+
+def pattern_verdict_2x2(zero: np.ndarray, degenerate: str) -> str:
+    """The n = 2 zero-mask rule of the pattern cross check: a zero
+    anti-diagonal or a zero diagonal gives degenerate ("singular" for map
+    r, "critical" for maps c and h), any other mask "regular"."""
+    if (zero[0, 1] and zero[1, 0]) or (zero[0, 0] and zero[1, 1]):
+        return degenerate
+    return "regular"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from qstoch.cli import main
 from qstoch.hadamard import verify_family3
 from qstoch.mub import (MubSet, complete_mub_h2, one_param_h3, three_param_h3,
                         write_mubset)
-from qstoch.qmatrix import (fourier, identity, random_symplectic,
+from qstoch.qmatrix import (QMatrix, fourier, identity, random_symplectic,
                             read_matrix_text, write_qmat, write_rmat)
 from qstoch.quaternion import Quaternion
 from qstoch.stochastic import van_der_waerden
@@ -376,6 +376,16 @@ class TestConstructCommands:
         kind, m = read_matrix_text(capsys.readouterr().out)
         assert m.is_hadamard(1e-9)
 
+    @pytest.mark.parametrize("family, variant, bound", [
+        ("s1", "-5", 1), ("s1", "1", 1), ("s3", "2", 2)])
+    def test_special3_variant_out_of_range(self, family, variant, bound,
+                                           capsys):
+        # s1 has no sign bits, so 0 is its only variant
+        assert main(["construct", "special3", "--family", family, "--params",
+                     "0.3,0.4", "--variant", variant]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: variant must be in [0, {bound})\n")
+
     def test_special3_requires_family(self, capsys):
         assert main(["construct", "special3", "--params", "0.4,1.2"]) == 2
 
@@ -555,3 +565,215 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert rc in (2, 3)
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: stdout, stderr and exit code of each verb on fixed input
+# ---------------------------------------------------------------------------
+
+CONF4 = np.array([[0, 1, 1, 1], [1, 0, 1, -1], [1, -1, 0, 1],
+                  [1, 1, -1, 0]]) / math.sqrt(3)  # orthogonal, zero diagonal
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.fixture
+def golden_files(workdir):
+    tmp_path, files = workdir
+    cube = [Quaternion(-0.5, R32 * math.cos(a), R32 * math.sin(a), 0.0)
+            for a in (2 * math.pi * k / 3 for k in range(3))]
+    texts = {
+        "sp2.qmat": write_qmat(random_symplectic(2, seed=1)),
+        "sp4.qmat": write_qmat(random_symplectic(4, seed=4)),
+        "u2.qmat": write_qmat(QMatrix.from_complex([[0.6, 0.8j],
+                                                    [0.8j, 0.6]])),
+        "rot2.rmat": write_rmat(_rotation(0.3)),
+        "anti2.rmat": write_rmat(_rotation(math.pi / 2)),
+        "conf4.rmat": write_rmat(CONF4),
+        "conf4sq.rmat": write_rmat(CONF4 ** 2),
+        "h2.mub": write_mubset(complete_mub_h2()),
+        "three_param.mub": write_mubset(three_param_h3(*cube)),
+        "mixed.mub": write_rmat(np.eye(3)) + "\n" + write_qmat(fourier(3)),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        files[name] = str(tmp_path / name)
+    return files
+
+
+# (argv with {file} names, exit code, stdout or the SHA-256 of a stdout
+# longer than 100 characters, stderr)
+GOLDEN = [
+    ('verify-hadamard {f3.qmat}', 0, 'hadamard=true\n', ''),
+    ('verify-hadamard {i2.qmat}', 1, 'hadamard=false\n', ''),
+    ('verify-hadamard {w3.qmat} --tol 0.5', 1, 'hadamard=false\n', ''),
+    ('verify-symplectic {w3.qmat}', 0, 'symplectic=true\n', ''),
+    ('verify-symplectic {f3.qmat}', 1, 'symplectic=false\n', ''),
+    ('verify-symplectic {o3.rmat}', 0, 'symplectic=true\n', ''),
+    ('splits {i3.qmat}', 0, 'splits=true\n', ''),
+    ('splits {f3_unit.qmat}', 1, 'splits=false\n', ''),
+    ('splits {conf4.rmat}', 1, 'splits=false\n', ''),
+    ('splits {anti2.rmat}', 0, 'splits=true\n', ''),
+    ('splits {f3.qmat} --tol 2', 0, 'splits=true\n', ''),
+    ('phi {w3.qmat}',
+     0, '3b7916aad64200d29fe049d1d428eec64509ca0c89b30958bbc7a763806bb539',
+     ''),
+    ('phi {sp4.qmat}',
+     0, '778645a3d9c1940037e7dd91d60331a9902b726a24410736df805be7854ac59a',
+     ''),
+    ('dephase {f3.qmat}',
+     0, '0eaa3e304a88fe2857f861a40d2c316c48a4792e9a0344a391772ec8a5a46148',
+     ''),
+    ('dephase {w3.qmat}',
+     0, '07b77948c20066e5e6bc36544c864c5b2672037b395778c51b520eb6490f244f',
+     ''),
+    ('hurwitz-radon',
+     0, '56f6b9232abc7bb7b1745d66697006cab39cce24594f812c1db1a96c560a215b',
+     ''),
+    ('hurwitz-radon --seed 2',
+     0, 'cdb08be1a40a5e71d0a7f9ef3d813eac1668cc2b4bf699bba917597f70084020',
+     ''),
+    ('classify --map r --file {rot2.rmat}',
+     0, 'map=r n=2 rank=1 dim_domain=1 dim_codomain=1 verdict=regular\n', ''),
+    # the rotation by pi/2 has cos(pi/2) = 6e-17 on its diagonal: the rank
+    # test, relative to the largest singular value, finds full rank, and the
+    # pattern cross check, which sees the zeros, stops the verdict
+    ('classify --map r --file {anti2.rmat}',
+     3, '',
+     ('error: rank verdict regular but pattern verdict singular (map '
+      'r, n=2)\n')),
+    ('classify --map r --file {i2.qmat}',
+     0, 'map=r n=2 rank=0 dim_domain=1 dim_codomain=1 verdict=singular\n', ''),
+    ('classify --map r --file {o3.rmat}',
+     0, 'map=r n=3 rank=0 dim_domain=3 dim_codomain=4 verdict=singular\n', ''),
+    ('classify --map r --file {conf4.rmat}',
+     0, 'map=r n=4 rank=5 dim_domain=6 dim_codomain=9 verdict=singular\n', ''),
+    ('classify --map c --file {u2.qmat}',
+     0, 'map=c n=2 rank=1 dim_domain=4 dim_codomain=1 verdict=regular\n', ''),
+    ('classify --map c --file {i2.qmat}',
+     0, 'map=c n=2 rank=0 dim_domain=4 dim_codomain=1 verdict=critical\n', ''),
+    ('classify --map c --file {f3_unit.qmat}',
+     0, 'map=c n=3 rank=4 dim_domain=9 dim_codomain=4 verdict=regular\n', ''),
+    ('classify --map c --file {i3.qmat}',
+     0, 'map=c n=3 rank=0 dim_domain=9 dim_codomain=4 verdict=critical\n', ''),
+    ('classify --map h --file {sp2.qmat}',
+     0, 'map=h n=2 rank=1 dim_domain=10 dim_codomain=1 verdict=regular\n', ''),
+    ('classify --map h --file {anti2.rmat}',
+     3, '',
+     ('error: rank verdict regular but pattern verdict critical (map '
+      'h, n=2)\n')),
+    ('classify --map h --file {w3.qmat}',
+     0, 'map=h n=3 rank=4 dim_domain=21 dim_codomain=4 verdict=regular\n', ''),
+    ('classify --map h --file {sp4.qmat}',
+     0, 'map=h n=4 rank=9 dim_domain=36 dim_codomain=9 verdict=regular\n', ''),
+    ('rank --map r --file {rot2.rmat}',
+     0, 'map=r n=2 rank=1 dim_domain=1 dim_codomain=1 verdict=regular\n', ''),
+    ('rank --map r --file {conf4.rmat}',
+     0, 'map=r n=4 rank=5 dim_domain=6 dim_codomain=9 verdict=singular\n', ''),
+    ('rank --map c --file {f3_unit.qmat}',
+     0, 'map=c n=3 rank=4 dim_domain=9 dim_codomain=4 verdict=regular\n', ''),
+    ('rank --map c --file {i2.qmat}',
+     0, 'map=c n=2 rank=0 dim_domain=4 dim_codomain=1 verdict=critical\n', ''),
+    ('rank --map h --file {w3.qmat}',
+     0, 'map=h n=3 rank=4 dim_domain=21 dim_codomain=4 verdict=regular\n', ''),
+    ('rank --map h --file {sp4.qmat} --tol 0.01',
+     0, 'map=h n=4 rank=6 dim_domain=36 dim_codomain=9 verdict=critical\n',
+     ''),
+    ('construct special4 --a (0.6,0.8,0,0) --b (0.6,0,0.8,0)',
+     0, 'e22314e384d569741dd482f7107af0315d02c54dcd48773b39b80da786bc4503',
+     ''),
+    ('construct generic4 --a (0.6,0.8,0,0) --x (0,0.6,0.8,0)',
+     0, '1f76422c2eed1d1fb1d83340c30a56a265d0e1f314efe58a8c54e9f6e5ffc894',
+     ''),
+    ('construct special3 --family s1 --params 0.4,1.2',
+     0, 'dc1cffafc63109a27d7efd9b6dee24401752a85711c54e3f683701f6b9656039',
+     ''),
+    ('construct special3 --family s1 --params 0.4,1.2 --variant 0',
+     0, 'dc1cffafc63109a27d7efd9b6dee24401752a85711c54e3f683701f6b9656039',
+     ''),
+    ('construct special3 --family s2 --params 0.3,1.1',
+     0, 'c0083c70e09c62d47eaea161d970dc34152ac7be5ddb746bcf5aa5b963167833',
+     ''),
+    ('construct special3 --family s2 --params 0.3,1.1 --variant 1',
+     0, '006c4b19323c8e183ecf5cb02b858d2dcc33d83e38cb73809d318ef5bd72dc05',
+     ''),
+    ('construct special3 --family s2 --params 0.3,1.1 --variant 2',
+     3, '', 'error: variant must be in [0, 2)\n'),
+    ('construct special3 --family s3 --params 0.3,1.1 --variant 1',
+     0, '1428f96c5f4cf0d2d582fa64b81e0a57c32459a674e95ed21ccd079805af3ac1',
+     ''),
+    ('construct special3 --family s4 --params 1.2 --variant 5',
+     0, 'a98adca593cb17fca14a1a3f61f8ccbb0ad68abab76a260e0ebe0f25e72d68c8',
+     ''),
+    ('construct special3 --family s4 --params 1.2 --variant 8',
+     3, '', 'error: variant must be in [0, 8)\n'),
+    ('construct special3 --family s4 --params 1.2,0.5',
+     3, '', 'error: s4 takes (psi)\n'),
+    ('construct special3 --family s5 --params 0.2,1.3 --variant 0',
+     0, '8485273aef6d06ab17e7c11043f5c240d3d60ffb0399b551033dedc051c3ea6a',
+     ''),
+    ('construct special3 --family s5 --params 0.2,1.3 --variant 9',
+     3, '', 'error: s5 has no real member for these parameters and signs\n'),
+    ('construct special3 --family s5 --params 0.2,1.3 --variant 16',
+     3, '', 'error: variant must be in [0, 16)\n'),
+    ('construct special3 --family s5 --params 0.2,1.3 --variant -1',
+     3, '', 'error: variant must be in [0, 16)\n'),
+    ('mub check {i3.qmat} {f3_unit.qmat}',
+     0, 'mub=true size=2 worst_pair_deviation=1.110e-16\n', ''),
+    ('mub check {o3.rmat} {f3_unit.qmat}',
+     0, 'mub=true size=2 worst_pair_deviation=1.110e-16\n', ''),
+    ('mub check {mixed.mub}',
+     0, 'mub=true size=2 worst_pair_deviation=1.110e-16\n', ''),
+    ('mub check {h2.mub}',
+     0, 'mub=true size=5 worst_pair_deviation=2.220e-16\n', ''),
+    ('mub check {i2.qmat} {i2.qmat}',
+     1, ('mub=false size=2 reason=bases 0 and 1 are not unbiased (deviation '
+         '5.00e-01)\n'),
+     ''),
+    ('mub check {three_param.mub}',
+     0, 'mub=true size=4 worst_pair_deviation=2.776e-16\n', ''),
+    ('mub h2-complete',
+     0, 'a266b76a91021a6e02a4a948468c71c4cb2b484ec1ded03c738dd589214fb4df',
+     ''),
+    ('mub h3-one-param --s 0.8660254037844386 --t 0',
+     0, '6437d96dacffb34791bcbd7e84eb4293f528fb94fd21279d4f38b97273f21e85',
+     ''),
+    ('mub h3-three-param --a (-0.5,0.8660254037844386,0,0) '
+     '--b (-0.5,0,0.8660254037844386,0) --c (-0.5,-0.8660254037844386,0,0)',
+     0, '37f5b92ab379d1ba35256a6de6c66d92e0bdf4ae5eb98758597cd2466dc55616',
+     ''),
+    ('--format csv sigma {j4.rmat}',
+     0, 'd20c8a02cac54827986d254384b1e1fa6d302eeeb093e01d894cd9b7d3628005',
+     ''),
+    ('--format csv sigma {j3.rmat}',
+     1, '53ce87f0bb0ad87e211774b6b7782aab9525bc01a574d651434e492fbb1c0159',
+     ''),
+    ('--format csv sigma --poly {j4.rmat}',
+     0, ('index,residual\n0,0\n1,0\n2,0\n3,0\n4,0\n5,0\n6,0\n7,0\n8,'
+         '0\n9,0\n10,0\n11,0\n'),
+     ''),
+    ('--format csv ortho3 {j3.rmat}',
+     1, 'orthostochastic,residual\nfalse,-0.037037037037037063\n', ''),
+    ('--format csv ortho3 {o3.rmat}',
+     0, 'orthostochastic,residual\ntrue,0\n', ''),
+    ('bruteforce-ortho {j3.rmat}', 1, 'pattern=none\n', ''),
+    ('bruteforce-ortho {o3.rmat}', 0, 'rmat 3 3\n1 1 1\n1 1 1\n1 1 1\n', ''),
+    ('bruteforce-ortho {conf4sq.rmat}',
+     0, 'rmat 4 4\n1 1 1 1\n1 1 -1 1\n1 1 1 -1\n1 -1 1 1\n', ''),
+]
+
+
+@pytest.mark.parametrize("line, code, out, err", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_output(line, code, out, err, golden_files, capsys):
+    argv = [golden_files[tok[1:-1]] if tok.startswith("{") else tok
+            for tok in line.split()]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    got = captured.out
+    if len(got) > 100:
+        got = hashlib.sha256(got.encode()).hexdigest()
+    assert (got, captured.err) == (out, err)

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (generators_from_bases, jacobian_by_generators, qexpm,
-                     tangent_bases, tangent_generators,
-                     zero_diagonal_orthogonal)
-from qstoch.differential import (_pattern_verdict_ch, b_coordinates,
+from oracles import (generators_from_bases, jacobian_by_generators,
+                     pattern_verdict_2x2, qexpm, tangent_bases,
+                     tangent_generators, zero_diagonal_orthogonal)
+from qstoch.differential import (_pattern_verdict_ch, _pattern_verdict_r,
+                                 _zero_mask_stable, b_coordinates,
                                  classify_point, codomain_dim, domain_dim,
                                  jacobian, rank_report, shuffled_block_sum)
 from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
                            WrongSize)
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
-                            identity, qmat_adjoint, qmat_mul, qnormsq,
+                            identity, qmat_adjoint, qmat_mul, qmul, qnormsq,
                             random_symplectic)
 from qstoch.quaternion import Quaternion
 
@@ -269,6 +270,38 @@ class TestClassification:
         with pytest.raises(UnsupportedSize):
             _pattern_verdict_ch(w)
         assert classify_point("h", w).pattern_verdict is None
+
+    def test_n2_rules_match_mask_oracle(self, rng):
+        """The n = 2 verdicts through splits against the zero-mask rules, on
+        2000 Haar points of each group and on rotations at the edges of the
+        zero band, each also twisted by quaternionic row phases."""
+        points = []
+        for _ in range(2000):
+            points += [("r", QMatrix.from_real(haar_orthogonal(2, rng))),
+                       ("c", QMatrix.from_complex(haar_unitary(2, rng))),
+                       ("h", random_symplectic(2, int(rng.integers(1 << 30))))]
+        phases = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.6, 0.0, 0.8]])
+        for base in (0.0, np.pi / 2):
+            for angle in (0.0, 1e-12, 1e-9, 2e-9, 1e-6):
+                c, s = np.cos(base + angle), np.sin(base + angle)
+                rot = QMatrix.from_real([[c, -s], [s, c]])
+                twisted = QMatrix(qmul(phases[:, None, :], rot.data))
+                points += [(kind, rot) for kind in "rch"]
+                points += [("c", twisted), ("h", twisted)]
+        verdicts = set()
+        for kind, p in points:
+            mask = _zero_mask_stable(p.norms())
+            if kind == "r":
+                got = _pattern_verdict_r(p)
+                expected = "undecided" if mask is None else \
+                    pattern_verdict_2x2(mask, "singular")
+            else:
+                got = _pattern_verdict_ch(p)
+                expected = "undecided" if mask is None else \
+                    pattern_verdict_2x2(mask, "critical")
+            assert got == expected, (kind, p.data)
+            verdicts.add(got)
+        assert verdicts == {"regular", "singular", "critical", "undecided"}
 
     def test_report_line_format(self):
         res = classify_point("r", identity(3))

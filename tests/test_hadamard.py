@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +11,16 @@ from hypothesis import strategies as st
 from oracles import (alpha_coeffs, circle_point, generic3_scan,
                      mub3_system_broadcast, phi_circle_roots_scan, phi_value,
                      system_dets_arr, unbiased_system)
+import qstoch
+from qstoch import hadamard
 from qstoch.errors import BadParams, DegenerateP, NoRealSolution
 from qstoch.hadamard import (OMEGA, Generic4Params, Special4Params,
-                             alphas_arr, family3_matrix, generic3, generic4,
-                             mub3_system_arr, p_value, phi_circle_roots_arr,
-                             read_family3, special3, special4,
-                             special_family_points, verify_family3)
-from qstoch.qmatrix import fourier, qmat_adjoint, qmat_mul, qnormsq
+                             alphas_arr, family3_matrix_arr, generic3,
+                             generic4, mub3_system_arr, p_arr,
+                             phi_circle_roots_arr, read_family3, special3,
+                             special4, special_family_points,
+                             special_family_rows, verify_family3)
+from qstoch.qmatrix import QMatrix, fourier, qmat_adjoint, qmat_mul, qnormsq
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import J as QJ
 from qstoch.quaternion import K as QK
@@ -103,9 +109,10 @@ class TestGeneric4:
 
 class TestScalarInvariants:
     def test_p_value_examples(self):
-        assert p_value(ONE, 0.3, 0.2) == 0.0
-        assert p_value(QK, math.sqrt(3) / 2, 0.0) == pytest.approx(math.sqrt(3) / 2)
-        assert p_value(OMEGA, 0.1, 0.7) == 0.0
+        assert p_arr(ONE.as_array(), 0.3, 0.2) == 0.0
+        assert p_arr(QK.as_array(), math.sqrt(3) / 2, 0.0) == \
+            pytest.approx(math.sqrt(3) / 2)
+        assert p_arr(OMEGA.as_array(), 0.1, 0.7) == 0.0
 
     def test_phi_value_examples(self):
         assert phi_value(ONE, 0.5, 0.5) == 0.0
@@ -122,7 +129,8 @@ class TestUnbiasedSystem:
             a = random_unit(rng)
             s, t = circle_point(rng.uniform(0, 2 * np.pi))
             _, _, dets = unbiased_system(a, s, t)
-            assert dets[4] == pytest.approx(3 * p_value(a, s, t) ** 2, abs=1e-9)
+            assert dets[4] == pytest.approx(3 * p_arr(a.as_array(), s, t) ** 2,
+                                            abs=1e-9)
 
     def test_determinant_identity_sum_squares(self, rng):
         for _ in range(200):
@@ -324,12 +332,58 @@ class TestSpecial3:
 
     def test_fourier_variant_is_family1(self):
         # a = 1, b = omega, zeta = omega satisfies the family 1 restrictions
-        m = family3_matrix(ONE, OMEGA, OMEGA)
+        m = QMatrix(family3_matrix_arr(
+            np.stack([ONE.as_array(), OMEGA.as_array(), OMEGA.as_array()])))
         assert verify_family3(m, "s1", 1e-12)
 
     def test_unknown_family(self):
         with pytest.raises(BadParams):
             special3("s9", (0.0,))
+
+
+# the sign bits of each special family, and a parameter row it accepts
+SIGN_BITS = {"s1": 0, "s2": 1, "s3": 1, "s4": 3, "s5": 4}
+PARAMS = {"s1": (0.3, 0.4), "s2": (0.3, 1.1), "s3": (0.3, 1.1), "s4": (1.2,),
+          "s5": (0.2, 1.3)}
+
+
+class TestSpecialVariants:
+    @pytest.mark.parametrize("family", sorted(SIGN_BITS))
+    def test_variant_outside_the_sign_bits_rejected(self, family):
+        bound = 1 << SIGN_BITS[family]
+        for variant in (-1, bound):
+            with pytest.raises(BadParams, match=re.escape(
+                    f"variant must be in [0, {bound})")):
+                special3(family, PARAMS[family], variant)
+
+    @pytest.mark.parametrize("family", sorted(SIGN_BITS))
+    def test_sweep_spans_every_variant(self, family, monkeypatch):
+        seen = []
+        batch = hadamard.special3_arr
+
+        def record(family_id, params, variants):
+            seen.append(np.asarray(variants))
+            return batch(family_id, params, variants)
+
+        monkeypatch.setattr(hadamard, "special3_arr", record)
+        special_family_rows(family, 6)
+        (variants,) = seen
+        values, counts = np.unique(variants, return_counts=True)
+        assert values.tolist() == list(range(1 << SIGN_BITS[family]))
+        assert len(set(counts.tolist())) == 1
+
+    def test_family_ids_have_one_owner(self):
+        """Only qstoch.hadamard spells out a special-family id; every other
+        module reads them from hadamard.FAMILY_IDS."""
+        assert hadamard.FAMILY_IDS == ("generic", *SIGN_BITS)
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            if path.name == "hadamard.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value in SIGN_BITS:
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        assert found == []
 
 
 class TestFamilySweeps:

@@ -277,8 +277,9 @@ DESCENT_SETS = {
 }
 
 
-def _lean_descent(monkeypatch, start, targets, max_iter):
-    """mub._descend's result and the objective at each of its trial steps."""
+def _lean_descent(monkeypatch, start, targets, max_steps):
+    """mub._descend's result, capped at max_steps accepted steps, and the
+    objective at each of its trial steps."""
     values = []
     deviations = mub._deviations
 
@@ -288,7 +289,8 @@ def _lean_descent(monkeypatch, start, targets, max_iter):
         return out
 
     monkeypatch.setattr(mub, "_deviations", record)
-    w, _, _ = mub._descend(start, targets, max_iter=max_iter)
+    monkeypatch.setattr(mub, "_MAX_STEPS", max_steps)
+    w, _, _ = mub._descend(start, targets)
     return w, values[1:]  # values[0] is the start
 
 

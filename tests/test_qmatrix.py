@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gram_schmidt_loop, hamilton_qmat_mul
+from oracles import gram_schmidt_loop, hamilton_qmat_mul, splits_dfs
 from qstoch.errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
                            ZeroInFrame)
 from qstoch.qmatrix import (QMatrix, diag, fourier, gram_schmidt_columns,
@@ -17,6 +17,7 @@ from qstoch.quaternion import J as QJ
 from qstoch.quaternion import K as QK
 from qstoch.quaternion import ONE, Quaternion, aligning_conjugator
 from qstoch.stochastic import permutation_array
+from qstoch.tol import ZERO_ENTRY
 
 
 def _permutation(perm) -> QMatrix:
@@ -138,6 +139,18 @@ class TestPredicates:
         arr = np.zeros((3, 3, 4))
         arr[0, 1, 0] = arr[1, 0, 0] = arr[2, 2, 0] = 1.0
         assert QMatrix(arr).splits()
+
+    def test_splits_matches_depth_first_search(self, rng):
+        # 2000 zero patterns per size, each with its own density
+        outcomes = set()
+        for n in range(1, 9):
+            for _ in range(2000):
+                keep = rng.random((n, n)) < rng.random()
+                m = QMatrix(rng.standard_normal((n, n, 4)) * keep[..., None])
+                expected = splits_dfs(m.norms() > ZERO_ENTRY)
+                assert m.splits() == expected
+                outcomes.add((n, expected))
+        assert len(outcomes) == 16
 
     def test_splits_invariant_under_permutations(self, rng):
         m = random_symplectic(4, seed=11)
