@@ -95,8 +95,8 @@ def _cmd_sigma(args) -> int:
     residual shrinks like the cube of the distance."""
     b = _load_bistochastic(args.file)
     residuals = stochastic.sigma_poly_4(b) if args.poly else None
-    minima = stochastic.sigma_pair_minima(b)
-    ok = all(m <= SIGMA_MIN for _, _, _, m in minima)
+    pairs = stochastic.sigma_pair_minima(b)
+    ok = bool((pairs.minima <= SIGMA_MIN).all())
     if residuals is not None:
         if args.format == "csv":
             print("index,residual")
@@ -106,10 +106,10 @@ def _cmd_sigma(args) -> int:
             print("residuals " + " ".join(f"{r:.6e}" for r in residuals))
     elif args.format == "csv":
         print("kind,i,j,min_abs")
-        for kind, i, j, m in minima:
+        for kind, i, j, m in pairs:
             print(f"{kind},{i},{j},{m:.17g}")
     else:
-        print(f"sigma={'true' if ok else 'false'} pairs={len(minima)}")
+        print(f"sigma={'true' if ok else 'false'} pairs={len(pairs)}")
     return EXIT_TRUE if ok else EXIT_FALSE
 
 

@@ -8,6 +8,7 @@ orthogonal start keeps in O(3).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,14 @@ def sigma_poly_4(b: BistochasticMatrix) -> list[float]:
 # ---------------------------------------------------------------------------
 
 _SIGMA_MAX_N = 24
+# signed sums one merge block holds, so that each of its arrays stays
+# within 128 KiB up to n = 20; the pairs per block follow from n
+_SIGMA_BLOCK_SUMS = 1 << 14
+# an int64 with every bit but the sign bit
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+# added to the gaps between neighbours from the same side, which are no
+# candidates, so that none of them can be a row's minimum
+_SAME_SIDE = np.finfo(float).max
 
 
 def _signed_sums(t: np.ndarray) -> np.ndarray:
@@ -142,41 +151,115 @@ def _signed_sums(t: np.ndarray) -> np.ndarray:
     return t @ (1.0 - 2.0 * bits).T
 
 
-def sigma_pair_minima(b: BistochasticMatrix) -> list[tuple[str, int, int, float]]:
+def _pair_terms(b: BistochasticMatrix) -> np.ndarray:
+    """t_k = sqrt(b_ki b_kj) for every column pair (i < j), then every row
+    pair, one row of t per pair."""
+    n = b.n
+    i, j = np.triu_indices(n, 1)
+    lines = np.stack([b.mat.T, b.mat])  # columns, then rows
+    return np.sqrt(lines[:, i] * lines[:, j]).reshape(-1, n)
+
+
+def _nearest_cross_gaps(neg_left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per row, min |r - x| over x in neg_left and r in right, except that
+    a zero may come out as -0.0.
+
+    Both sides go into one row, sorted, and the answer is the smallest gap
+    between sorted neighbours from different sides.  The sort runs on int64
+    keys that order like the floats and carry the side in their lowest bit.
+    Every sum is at most sum_k t_k <= 1 + BISTOCHASTIC_SUM in absolute value
+    (Cauchy-Schwarz on two lines of B), so its key needs 62 bits and the
+    shift by one cannot overflow.
+    """
+    both = np.concatenate([neg_left, right], axis=1)
+    keys = both.view(np.int64)
+    keys ^= (keys >> 63) & _MAGNITUDE
+    keys <<= 1
+    keys[:, neg_left.shape[1]:] |= 1
+    keys.sort(axis=1)
+    same = ((keys[:, 1:] ^ keys[:, :-1]) & 1) == 0
+    keys >>= 1
+    keys ^= (keys >> 63) & _MAGNITUDE  # both now holds the sorted sums
+    gaps = both[:, 1:] - both[:, :-1]
+    gaps += same * _SAME_SIDE
+    return gaps.min(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class SigmaMinima(Sequence):
+    """The pair minima of sigma_pair_minima as one read-only float64 array,
+    column pairs (i < j) first, then row pairs, each in row-major order.
+
+    It reads as the sequence of rows (kind, i, j, min_abs), with kind "col"
+    or "row" and 0-based indices; the rows are built when read.
+    """
+
+    n: int
+    minima: np.ndarray
+
+    def __post_init__(self):
+        self.minima.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.minima)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[p] for p in range(len(self))[index]]
+        p = range(len(self))[index]
+        half = len(self) // 2
+        kind, q = ("col", p) if p < half else ("row", p - half)
+        i = 0
+        while q >= self.n - 1 - i:
+            q -= self.n - 1 - i
+            i += 1
+        return kind, i, i + 1 + q, float(self.minima[p])
+
+    def __iter__(self):
+        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+        labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
+        return (label + (m,) for label, m in zip(labels, self.minima.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SigmaMinima)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def sigma_pair_minima(b: BistochasticMatrix) -> SigmaMinima:
     """Best achievable |sum of signed sqrt products| for every row/column pair.
 
     Min |sum_k s_k t_k| is a partition problem, solved exactly by meet in the
-    middle (Horowitz & Sahni, JACM 21, 1974): the signed sums of the first
-    (n+1)//2 terms (first sign fixed +1) meet the sorted signed sums of the
-    rest, and the best partner of a left sum l is a neighbour of -l in that
-    order.  This takes about 2^(n/2) steps per pair instead of 2^(n-1).
-    Returns tuples (kind, i, j, min_abs) with kind "col" or "row" and
-    0-based indices, column pairs first.
+    middle (Horowitz & Sahni, JACM 21, 1974): the signed sums l of the first
+    (n+1)//2 terms (first sign fixed +1) meet the signed sums r of the rest.
+    fl(l + r) is monotone in r, so the best |l + r| lies between neighbours
+    of the merged sorted -l and r, and |r - (-l)| is exactly |l + r|.  This
+    takes about 2^(n/2) steps per pair instead of 2^(n-1).  Pairs go through
+    the merge in blocks whose size follows from n and _SIGMA_BLOCK_SUMS.
     """
     n = b.n
     if n > _SIGMA_MAX_N:
         raise TooLarge(f"sigma system enumeration capped at n = {_SIGMA_MAX_N}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
-    t = np.array([np.sqrt(b.mat[:, i] * b.mat[:, j]) for i, j in pairs]
-                 + [np.sqrt(b.mat[i, :] * b.mat[j, :]) for i, j in pairs]
-                 ).reshape(len(labels), n)
+    t = _pair_terms(b)
     half = (n + 1) // 2
-    left = t[:, :1] + _signed_sums(t[:, 1:half])
-    right = np.sort(_signed_sums(t[:, half:]), axis=1)
-    pos = np.empty(left.shape, dtype=np.intp)
-    for p in range(len(labels)):
-        pos[p] = np.searchsorted(right[p], -left[p])
-    last = right.shape[1] - 1
-    below = np.take_along_axis(right, np.maximum(pos - 1, 0), axis=1)
-    above = np.take_along_axis(right, np.minimum(pos, last), axis=1)
-    best = np.minimum(np.abs(left + below), np.abs(left + above)).min(axis=1)
-    return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
+    width = (1 << (half - 1)) + (1 << (n - half))  # sums per pair
+    # at least n/2 pairs per block, so that the two sign matrices
+    # _signed_sums builds for a block (at most n/2 * width entries) cost no
+    # more than its merge; and an even number, so that with n(n-1) pairs no
+    # block has one row: numpy multiplies a one-row matrix with gemv, whose
+    # rounding differs from gemm's, and the minima's bits depend on it
+    block = 2 * max(1, _SIGMA_BLOCK_SUMS // (2 * width), (n + 3) // 4)
+    best = np.empty(len(t))
+    for start in range(0, len(t), block):
+        tb = t[start:start + block]
+        best[start:start + block] = _nearest_cross_gaps(
+            -(tb[:, :1] + _signed_sums(tb[:, 1:half])), _signed_sums(tb[:, half:]))
+    return SigmaMinima(n, np.abs(best))
 
 
 def sigma_check(b: BistochasticMatrix) -> bool:
     """True when every pair of rows and columns admits a vanishing signing."""
-    return all(m <= SIGMA_MIN for _, _, _, m in sigma_pair_minima(b))
+    return bool(np.all(sigma_pair_minima(b).minima <= SIGMA_MIN))
 
 
 # ---------------------------------------------------------------------------

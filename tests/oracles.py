@@ -9,7 +9,9 @@ closed form in qstoch.hadamard replaced, the Sp(n) descent loop with
 a Householder QR retraction and a full objective at every trial step that
 the lean loop in qstoch.mub replaced, the exhaustive sign
 enumerations that the meet-in-the-middle sigma search and the column-by-
-column pattern completion in qstoch.stochastic replaced, the Jacobian
+column pattern completion in qstoch.stochastic replaced, the one-
+searchsorted-per-pair lookup that the sigma search's blocked merge
+replaced, the Jacobian
 built one dense generator at a time that the two-row columns in
 qstoch.differential replaced, and the depth-first split test and the
 n = 2 zero-mask rules that QMatrix.splits replaced.  They share no code
@@ -18,9 +20,11 @@ generic-family generator feeding the sweep, and the chi conversions and
 the start-point QR of the descent), so a defect cannot hide in a
 comparison against them.
 
-Two references read a setting of the code they check: descend_qr takes
+Three references read a setting of the code they check: descend_qr takes
 the stall window of qstoch.mub's descent, so both stop by the same rule,
-and tangent_generators reads qstoch.differential's generator table.  The
+tangent_generators reads qstoch.differential's generator table, and
+sigma_pair_minima_searchsorted forms its signed sums with qstoch.stochastic's
+_signed_sums, whose rounding every minimum's bits depend on.  The
 Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
 exponential used by the tests live here too.
 """
@@ -37,7 +41,7 @@ from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
                             qconj, qmat_eye, qmat_mul, qmul, qnormsq)
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
-                               permutation_array)
+                               _signed_sums, permutation_array)
 from qstoch.tol import DESCENT_STALL
 
 
@@ -542,6 +546,30 @@ def sigma_pair_minima_exhaustive(b: BistochasticMatrix, block: int = 1 << 14):
     for start in range(0, total, block):
         signs = _sign_block(n, start, min(block, total - start))
         best = np.minimum(best, np.abs(signs @ t.T).min(axis=0))
+    return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
+
+
+def sigma_pair_minima_searchsorted(b: BistochasticMatrix):
+    """The meet-in-the-middle minima with one np.searchsorted per pair: the
+    signed sums of all pairs at once, each pair's right sums sorted, and
+    each left sum l paired with the neighbours of -l among them.  Rows
+    (kind, i, j, min_abs) in the program's order."""
+    n = b.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
+    t = np.array([np.sqrt(b.mat[:, i] * b.mat[:, j]) for i, j in pairs]
+                 + [np.sqrt(b.mat[i, :] * b.mat[j, :]) for i, j in pairs]
+                 ).reshape(len(labels), n)
+    half = (n + 1) // 2
+    left = t[:, :1] + _signed_sums(t[:, 1:half])
+    right = np.sort(_signed_sums(t[:, half:]), axis=1)
+    pos = np.empty(left.shape, dtype=np.intp)
+    for p in range(len(labels)):
+        pos[p] = np.searchsorted(right[p], -left[p])
+    last = right.shape[1] - 1
+    below = np.take_along_axis(right, np.maximum(pos - 1, 0), axis=1)
+    above = np.take_along_axis(right, np.minimum(pos, last), axis=1)
+    best = np.minimum(np.abs(left + below), np.abs(left + above)).min(axis=1)
     return [(k, i, j, float(m)) for (k, i, j), m in zip(labels, best)]
 
 

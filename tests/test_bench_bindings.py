@@ -9,8 +9,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import birkhoff_sample
 from qstoch import cli, differential, hadamard, mub, qmatrix, stochastic
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -44,3 +46,12 @@ def test_workloads_attributes_exist():
         and node.value.id in MODULES
         and not hasattr(MODULES[node.value.id], node.attr))
     assert missing == []
+
+
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_sigma_rows_unpack_as_the_bench_reads_them(n):
+    """workloads.py and test_bench.py unpack each sigma_pair_minima row into
+    four names and collect the minima; the rows are built from one array."""
+    result = stochastic.sigma_pair_minima(birkhoff_sample(n, np.random.default_rng(n)))
+    assert [m for _, _, _, m in result] == result.minima.tolist()
+    assert len(result) == n * (n - 1)

@@ -15,10 +15,12 @@ from qstoch.cli import main
 from qstoch.hadamard import verify_family3
 from qstoch.mub import (MubSet, complete_mub_h2, one_param_h3, three_param_h3,
                         write_mubset)
-from qstoch.qmatrix import (QMatrix, fourier, identity, random_symplectic,
-                            read_matrix_text, write_qmat, write_rmat)
+from oracles import birkhoff_sample
+from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, identity,
+                            random_symplectic, read_matrix_text, write_qmat,
+                            write_rmat)
 from qstoch.quaternion import Quaternion
-from qstoch.stochastic import van_der_waerden
+from qstoch.stochastic import phi, van_der_waerden
 
 R32 = math.sqrt(3) / 2
 MAXIMALITY_SETS = {
@@ -580,6 +582,14 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _sigma_input(kind, n):
+    """A seeded orthostochastic or generic Birkhoff n x n matrix."""
+    rng = np.random.default_rng(n)
+    if kind == "ortho":
+        return phi(QMatrix.from_real(haar_orthogonal(n, rng))).mat
+    return birkhoff_sample(n, rng).mat
+
+
 @pytest.fixture
 def golden_files(workdir):
     tmp_path, files = workdir
@@ -598,6 +608,9 @@ def golden_files(workdir):
         "three_param.mub": write_mubset(three_param_h3(*cube)),
         "mixed.mub": write_rmat(np.eye(3)) + "\n" + write_qmat(fourier(3)),
     }
+    for n in (20, 24):
+        for kind in ("ortho", "birkhoff"):
+            texts[f"{kind}{n}.rmat"] = write_rmat(_sigma_input(kind, n))
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
         files[name] = str(tmp_path / name)
@@ -751,6 +764,22 @@ GOLDEN = [
     ('--format csv sigma {j3.rmat}',
      1, '53ce87f0bb0ad87e211774b6b7782aab9525bc01a574d651434e492fbb1c0159',
      ''),
+    ('--format csv sigma {ortho20.rmat}',
+     0, 'a6d8b0a72a4d9cca93108b441d7f80831003ec3851999adeb68114b4a3cf4d36',
+     ''),
+    ('sigma {ortho20.rmat}', 0, 'sigma=true pairs=380\n', ''),
+    ('--format csv sigma {birkhoff20.rmat}',
+     1, 'd6a7d3f94611c7f30be6a5a8f98d39c92f8353aabab7f573c300920351d9a87b',
+     ''),
+    ('sigma {birkhoff20.rmat}', 1, 'sigma=false pairs=380\n', ''),
+    ('--format csv sigma {ortho24.rmat}',
+     0, 'c0b2f368bf122e1e55bcc6cd46b975930432950eeeec9b84d691815825e6a0db',
+     ''),
+    ('sigma {ortho24.rmat}', 0, 'sigma=true pairs=552\n', ''),
+    ('--format csv sigma {birkhoff24.rmat}',
+     1, '65708183980dc60c7e160152110601fcd5a1c1cfdac584496165c517f4f2db12',
+     ''),
+    ('sigma {birkhoff24.rmat}', 1, 'sigma=false pairs=552\n', ''),
     ('--format csv sigma --poly {j4.rmat}',
      0, ('index,residual\n0,0\n1,0\n2,0\n3,0\n4,0\n5,0\n6,0\n7,0\n8,'
          '0\n9,0\n10,0\n11,0\n'),

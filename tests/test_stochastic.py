@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (birkhoff_sample, orthostochastic_bruteforce_tensor,
-                     sigma_pair_minima_exhaustive)
+                     sigma_pair_minima_exhaustive,
+                     sigma_pair_minima_searchsorted)
 from qstoch.errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from qstoch.qmatrix import QMatrix, fourier, haar_orthogonal, random_symplectic
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
@@ -262,6 +264,73 @@ class TestSigmaMeetInTheMiddle:
     def test_n1_has_no_pairs(self):
         assert sigma_pair_minima(van_der_waerden(1)) == []
         assert sigma_check(van_der_waerden(1))
+
+
+def _exact_inputs():
+    near_zero = np.array([[1.0000000000001, -1e-13], [-1e-13, 1.0000000000001]])
+    for n in (1, 2, 6, 16):
+        yield pytest.param(van_der_waerden(n), id=f"j{n}")
+    yield pytest.param(BistochasticMatrix(np.eye(7)), id="eye7")
+    for n in (3, 9, 24):
+        perm = np.random.default_rng(n).permutation(n)
+        yield pytest.param(BistochasticMatrix(permutation_array(perm)), id=f"perm{n}")
+    yield pytest.param(hurwitz_radon_matrix(seed=0), id="hurwitz_radon")
+    yield pytest.param(BistochasticMatrix(near_zero), id="near_zero")
+    for n in (18, 20):
+        rng = np.random.default_rng(1000 + n)
+        yield pytest.param(birkhoff_sample(n, rng), id=f"birkhoff{n}")
+        yield pytest.param(phi(QMatrix.from_real(haar_orthogonal(n, rng))), id=f"ortho{n}")
+
+
+class TestSigmaBlockedMerge:
+    """The blocked merge against the one-searchsorted-per-pair lookup it
+    replaced: both find min |fl(l + r)| exactly, so labels and float bits
+    agree."""
+
+    @staticmethod
+    def check(b):
+        got = sigma_pair_minima(b)
+        want = sigma_pair_minima_searchsorted(b)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert np.array_equal(got.minima.view(np.int64),
+                              _minima(want).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bistochastic_inputs(1, 24))
+    def test_matches_searchsorted(self, b):
+        self.check(b)
+
+    @pytest.mark.parametrize("b", _exact_inputs())
+    def test_matches_searchsorted_on_fixed_inputs(self, b):
+        self.check(b)
+
+    def test_minima_are_one_read_only_array(self):
+        result = sigma_pair_minima(birkhoff_sample(14, np.random.default_rng(14)))
+        assert result.n == 14
+        assert result.minima.dtype == np.float64
+        assert result.minima.shape == (182,)
+        with pytest.raises(ValueError):
+            result.minima[0] = 0.0
+        rows = list(result)
+        assert len(result) == len(rows) == 182
+        assert [result[p] for p in range(182)] == rows
+        assert result[-1] == rows[-1] == ("row", 12, 13, float(result.minima[-1]))
+        assert result[90:93] == rows[90:93]
+        assert result == rows and result != rows[:-1]
+        with pytest.raises(IndexError):
+            result[182]
+
+    def test_peak_memory_at_the_cap(self):
+        # one call at n = 24 peaks at about 2.5 MiB; the per-pair lookup,
+        # which held every pair's signed sums at once, peaked at 77.7 MiB
+        b = birkhoff_sample(24, np.random.default_rng(24))
+        tracemalloc.start()
+        try:
+            sigma_pair_minima(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def _pattern_is_orthogonal(b, index, tol=1e-8):
