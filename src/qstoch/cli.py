@@ -19,8 +19,7 @@ from .qmatrix import (QMatrix, load_matrix, load_qmatrix, write_qmat,
                       write_rmat)
 from .quaternion import parse_quaternion
 from .stochastic import BistochasticMatrix
-from .tol import (GROUP, HADAMARD, NEAR_MISS, ORTHO3_RESIDUAL, RANK_RATIO,
-                  SIGMA_MIN, ZERO_ENTRY)
+from .tol import GROUP, HADAMARD, NEAR_MISS, RANK_RATIO, ZERO_ENTRY
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -80,7 +79,7 @@ def _cmd_classify(args) -> int:
 def _cmd_ortho3(args) -> int:
     b = _load_bistochastic(args.file)
     residual = stochastic.ortho3_residual(b)
-    ok = abs(residual) <= ORTHO3_RESIDUAL
+    ok = stochastic.ortho3_test(b)
     if args.format == "csv":
         print("orthostochastic,residual")
         print(f"{'true' if ok else 'false'},{residual:.17g}")
@@ -96,7 +95,7 @@ def _cmd_sigma(args) -> int:
     b = _load_bistochastic(args.file)
     residuals = stochastic.sigma_poly_4(b) if args.poly else None
     pairs = stochastic.sigma_pair_minima(b)
-    ok = bool((pairs.minima <= SIGMA_MIN).all())
+    ok = pairs.feasible
     if residuals is not None:
         if args.format == "csv":
             print("index,residual")
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
     except QStochError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,20 +31,6 @@ from .tol import (GROUP, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO, SCALAR_FIELD
 MAP_KINDS = ("r", "c", "h")
 
 
-def domain_dim(map_kind: str, n: int) -> int:
-    if map_kind == "r":
-        return n * (n - 1) // 2
-    if map_kind == "c":
-        return n * n
-    if map_kind == "h":
-        return n * (2 * n + 1)
-    raise WrongSize(f"unknown map kind {map_kind!r}")
-
-
-def codomain_dim(n: int) -> int:
-    return (n - 1) * (n - 1)
-
-
 # ---------------------------------------------------------------------------
 # tangent basis
 # ---------------------------------------------------------------------------
@@ -247,16 +233,16 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
     zero-pattern cross check.
 
     The rank verdict compares rank(dphi) against dim O(n) for map r and
-    against (n-1)^2 for maps c and h.  With cross_check, when the pattern
-    machinery supports the size (n <= 4 for r, n <= 3 for c and h) and does
-    not report "undecided", a disagreement with the rank verdict raises
-    InternalInconsistency; other sizes skip the check.
+    against (n-1)^2 for maps c and h, the Jacobian's columns and rows.  With
+    cross_check, when the pattern machinery supports the size (n <= 4 for r,
+    n <= 3 for c and h) and does not report "undecided", a disagreement with
+    the rank verdict raises InternalInconsistency; other sizes skip the
+    check.
     """
     jac = jacobian(map_kind, p)
     rank, _, gap = rank_report(jac, tol)
     n = p.rows
-    ddim = domain_dim(map_kind, n)
-    cdim = codomain_dim(n)
+    cdim, ddim = jac.shape
     if map_kind == "r":
         verdict = "singular" if rank < ddim else "regular"
     else:

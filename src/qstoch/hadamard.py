@@ -389,9 +389,9 @@ def phi_circle_roots_arr(a: np.ndarray):
 
 
 _SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-_ONE = np.array([1.0, 0.0, 0.0, 0.0])
-_W = OMEGA.as_array()
-_W2 = (OMEGA * OMEGA).as_array()
+# 1, omega and omega^2 as (4,) rows
+OMEGA_POWERS = np.array([[1.0, 0.0, 0.0, 0.0], OMEGA.as_array(),
+                         (OMEGA * OMEGA).as_array()])
 
 
 def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
@@ -407,13 +407,14 @@ def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
     (drop column i) satisfy d5 = 3 p(a,s,t)^2 and
     8(sum d_i^2 - d5^2) = 9 d5 phi(a,s,t).
     """
+    one, w, w2 = OMEGA_POWERS
     abar = qconj(a)
     zeta2 = qmul(zeta, zeta)
-    abar_w2 = qmul(abar, _W2)
-    rows = [_ONE + abar, qmul(zeta2, _ONE + qmul(zeta2, abar)),
-            _W + abar_w2, qmul(zeta2, _W + qmul(zeta2, abar_w2))]
+    abar_w2 = qmul(abar, w2)
+    rows = [one + abar, qmul(zeta2, one + qmul(zeta2, abar)),
+            w + abar_w2, qmul(zeta2, w + qmul(zeta2, abar_w2))]
     az = qmul(a, zeta)
-    re_w2 = _SIGNS * _W2  # q @ re_w2 = Re(w^2 q) = Re(w^-1 q)
+    re_w2 = _SIGNS * w2  # q @ re_w2 = Re(w^2 q) = Re(w^-1 q)
     v = -np.stack([a[..., 0], az[..., 0], a @ re_w2, az @ re_w2], axis=-1)
     return _SIGNS * np.stack(rows, axis=-2), v
 

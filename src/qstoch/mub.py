@@ -374,8 +374,6 @@ def _conj_transforms(conj_grid: int) -> np.ndarray:
     return np.concatenate([rot, flip * rot])
 
 
-_W_POWS = np.array([[1.0, 0.0, 0.0, 0.0], hadamard.OMEGA.as_array(),
-                    (hadamard.OMEGA * hadamard.OMEGA).as_array()])
 # the stabilizer moves of the (I, F_3) pair up to right monomials: a cyclic
 # row shift by m, then left multiplication of row r by omega^(p r)
 _MOVES = np.array([(m, p) for m in range(3) for p in range(3)])
@@ -390,7 +388,8 @@ def _moved_frames(batch: np.ndarray, frames: np.ndarray,
     """Frames batch[frames] under the moves _MOVES[moves], shape (S,3,3,4)."""
     shift, zpow = _MOVES[moves].T
     rows = batch[frames[:, None], (_ROWS + shift[:, None]) % 3]
-    return qmul(_W_POWS[(zpow[:, None] * _ROWS) % 3][:, :, None, :], rows)
+    scale = hadamard.OMEGA_POWERS[(zpow[:, None] * _ROWS) % 3]
+    return qmul(scale[:, :, None, :], rows)
 
 
 def _prefilter_weights(probe: np.ndarray, transforms: np.ndarray) -> np.ndarray:
@@ -405,7 +404,7 @@ def _prefilter_weights(probe: np.ndarray, transforms: np.ndarray) -> np.ndarray:
     fixed at 0; the weight of the monomial h_k h_l, k <= l, is M_kl, doubled
     off the diagonal."""
     k = (_ROWS - _MOVES[:, :1]) % 3
-    scale = qconj(_W_POWS[(_MOVES[:, 1:] * k) % 3])
+    scale = qconj(hadamard.OMEGA_POWERS[(_MOVES[:, 1:] * k) % 3])
     back = np.einsum("xdc,kd->xkc", transforms, probe)  # T_x^-1(p_k)
     folded = qmul(scale[:, None], np.swapaxes(back[:, k], 0, 1))
     # (d, move, x, r, c): conj(e_d) P_r, the term of conj(f_r) P_r in f_rd

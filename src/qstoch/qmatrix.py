@@ -87,17 +87,23 @@ def _from_chi_rows(z: np.ndarray) -> np.ndarray:
     return z.view(float).reshape(z.shape[:-1] + (z.shape[-1] // 2, 4))
 
 
-def _qr_retract(x: np.ndarray) -> np.ndarray:
-    """Even rows of the Q factor of x = QR with diag(R) real and positive.
-
-    That factor is unique, so for x = chi(A) it is chi of the matrix that
-    right-scalar Gram-Schmidt makes from the columns of A.  Only the even
-    rows are returned: rounding moves the odd rows off the chi pattern, and
-    an iteration that fed them back would let that error grow.
-    """
+def _qr_positive(x: np.ndarray) -> np.ndarray:
+    """The Q factor of x = QR with diag(R) real and positive, the unique
+    one; d/|d| is sign(d) exactly for real nonzero d."""
     q, r = np.linalg.qr(x)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q[..., ::2, :] * (d / np.abs(d))[..., None, :]
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _qr_retract(x: np.ndarray) -> np.ndarray:
+    """Even rows of _qr_positive(x).
+
+    For x = chi(A) that factor is chi of the matrix that right-scalar
+    Gram-Schmidt makes from the columns of A.  Only the even rows are
+    returned: rounding moves the odd rows off the chi pattern, and an
+    iteration that fed them back would let that error grow.
+    """
+    return _qr_positive(x)[..., ::2, :]
 
 
 def qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,16 +375,12 @@ def random_symplectic(n: int, seed: int = 0) -> QMatrix:
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:
     """Haar O(n) sample via QR of a Gaussian matrix with sign-fixed R."""
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return _qr_positive(rng.standard_normal((n, n)))
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _qr_positive(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,7 @@ def sigma_poly_4(b: BistochasticMatrix) -> list[float]:
     """
     if b.n != 4:
         raise WrongSize("sigma_poly_4 is defined for 4x4 matrices")
-    out = []
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for i, j in pairs:
-        out.append(_pair_residual(b.mat[:, i] * b.mat[:, j]))
-    for i, j in pairs:
-        out.append(_pair_residual(b.mat[i, :] * b.mat[j, :]))
-    return out
+    return [_pair_residual(t2) for t2 in _pair_products(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +128,7 @@ def sigma_poly_4(b: BistochasticMatrix) -> list[float]:
 
 _SIGMA_MAX_N = 24
 # signed sums one merge block holds, so that each of its arrays stays
-# within 128 KiB up to n = 20; the pairs per block follow from n
+# within 128 KiB; the pairs per block follow from n
 _SIGMA_BLOCK_SUMS = 1 << 14
 # an int64 with every bit but the sign bit
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
@@ -143,21 +137,19 @@ _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 _SAME_SIDE = np.finfo(float).max
 
 
-def _signed_sums(t: np.ndarray) -> np.ndarray:
-    """All 2^k signed sums of the k columns of t, one row of sums per row of
-    t; bit m of a sum's index flips the sign of column m."""
-    k = t.shape[1]
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return t @ (1.0 - 2.0 * bits).T
+def _index_bits(k: int) -> np.ndarray:
+    """The (2^k, k) 0/1 matrix whose row m holds the bits of m, lowest
+    first."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-def _pair_terms(b: BistochasticMatrix) -> np.ndarray:
-    """t_k = sqrt(b_ki b_kj) for every column pair (i < j), then every row
-    pair, one row of t per pair."""
+def _pair_products(b: BistochasticMatrix) -> np.ndarray:
+    """b_ki b_kj for every column pair in np.triu_indices order, then every
+    row pair in the same order, one row per pair."""
     n = b.n
     i, j = np.triu_indices(n, 1)
     lines = np.stack([b.mat.T, b.mat])  # columns, then rows
-    return np.sqrt(lines[:, i] * lines[:, j]).reshape(-1, n)
+    return (lines[:, i] * lines[:, j]).reshape(-1, n)
 
 
 def _nearest_cross_gaps(neg_left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -188,7 +180,7 @@ def _nearest_cross_gaps(neg_left: np.ndarray, right: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SigmaMinima(Sequence):
     """The pair minima of sigma_pair_minima as one read-only float64 array,
-    column pairs (i < j) first, then row pairs, each in row-major order.
+    column pairs first, then row pairs, each in np.triu_indices order.
 
     It reads as the sequence of rows (kind, i, j, min_abs), with kind "col"
     or "row" and 0-based indices; the rows are built when read.
@@ -200,25 +192,22 @@ class SigmaMinima(Sequence):
     def __post_init__(self):
         self.minima.setflags(write=False)
 
+    @property
+    def feasible(self) -> bool:
+        """The Sigma_n verdict: every pair admits a vanishing signing."""
+        return bool(np.all(self.minima <= SIGMA_MIN))
+
     def __len__(self) -> int:
         return len(self.minima)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[p] for p in range(len(self))[index]]
-        p = range(len(self))[index]
-        half = len(self) // 2
-        kind, q = ("col", p) if p < half else ("row", p - half)
-        i = 0
-        while q >= self.n - 1 - i:
-            q -= self.n - 1 - i
-            i += 1
-        return kind, i, i + 1 + q, float(self.minima[p])
+        return list(self)[index]
 
     def __iter__(self):
-        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-        labels = [("col", i, j) for i, j in pairs] + [("row", i, j) for i, j in pairs]
-        return (label + (m,) for label, m in zip(labels, self.minima.tolist()))
+        pairs = np.transpose(np.triu_indices(self.n, 1)).tolist()
+        kinds = ["col"] * len(pairs) + ["row"] * len(pairs)
+        return ((kind, i, j, m) for kind, (i, j), m
+                in zip(kinds, pairs * 2, self.minima.tolist()))
 
     def __eq__(self, other):
         if isinstance(other, (list, SigmaMinima)):
@@ -240,26 +229,28 @@ def sigma_pair_minima(b: BistochasticMatrix) -> SigmaMinima:
     n = b.n
     if n > _SIGMA_MAX_N:
         raise TooLarge(f"sigma system enumeration capped at n = {_SIGMA_MAX_N}")
-    t = _pair_terms(b)
+    t = np.sqrt(_pair_products(b))
     half = (n + 1) // 2
     width = (1 << (half - 1)) + (1 << (n - half))  # sums per pair
-    # at least n/2 pairs per block, so that the two sign matrices
-    # _signed_sums builds for a block (at most n/2 * width entries) cost no
-    # more than its merge; and an even number, so that with n(n-1) pairs no
-    # block has one row: numpy multiplies a one-row matrix with gemv, whose
-    # rounding differs from gemm's, and the minima's bits depend on it
-    block = 2 * max(1, _SIGMA_BLOCK_SUMS // (2 * width), (n + 3) // 4)
+    # bit m of a sum's index flips the sign of term m; the sums are
+    # t @ signs.T, an operand layout the minima's bits depend on
+    left = 1.0 - 2.0 * _index_bits(half - 1)
+    right = 1.0 - 2.0 * _index_bits(n - half)
+    # an even number of pairs, so that with n(n-1) pairs no block has one
+    # row: numpy multiplies a one-row matrix with gemv, whose rounding
+    # differs from gemm's, and the minima's bits depend on it
+    block = 2 * max(1, _SIGMA_BLOCK_SUMS // (2 * width))
     best = np.empty(len(t))
     for start in range(0, len(t), block):
         tb = t[start:start + block]
         best[start:start + block] = _nearest_cross_gaps(
-            -(tb[:, :1] + _signed_sums(tb[:, 1:half])), _signed_sums(tb[:, half:]))
+            -(tb[:, :1] + tb[:, 1:half] @ left.T), tb[:, half:] @ right.T)
     return SigmaMinima(n, np.abs(best))
 
 
 def sigma_check(b: BistochasticMatrix) -> bool:
     """True when every pair of rows and columns admits a vanishing signing."""
-    return bool(np.all(sigma_pair_minima(b).minima <= SIGMA_MIN))
+    return sigma_pair_minima(b).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +278,7 @@ def orthostochastic_bruteforce(b: BistochasticMatrix):
     root = np.sqrt(b.mat)
     if not abs(root[:, 0] @ root[:, 0] - 1.0) <= BRUTE_GRAM:
         return None
-    flips = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    flips = _index_bits(n - 1)
     row_bit = (n - 1) * np.arange(n - 1)  # index bit of entry (r, 1), r >= 1
     placed = root[None, :, :1]  # (partial patterns, n, columns placed)
     index = np.zeros(1, dtype=np.int64)

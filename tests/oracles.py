@@ -23,9 +23,10 @@ comparison against them.
 Three references read a setting of the code they check: descend_qr takes
 the stall window of qstoch.mub's descent, so both stop by the same rule,
 tangent_generators reads qstoch.differential's generator table, and
-sigma_pair_minima_searchsorted forms its signed sums with qstoch.stochastic's
-_signed_sums, whose rounding every minimum's bits depend on.  The
-Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
+sigma_pair_minima_searchsorted forms its signed sums as t times the sign
+matrix from qstoch.stochastic's _index_bits, in the program's operand
+layout, because every minimum's bits depend on that product's rounding.
+The Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
 exponential used by the tests live here too.
 """
 
@@ -40,8 +41,8 @@ from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
                             qconj, qmat_eye, qmat_mul, qmul, qnormsq)
 from qstoch.quaternion import ONE, Quaternion
-from qstoch.stochastic import (BistochasticMatrix, SignPattern,
-                               _signed_sums, permutation_array)
+from qstoch.stochastic import (BistochasticMatrix, SignPattern, _index_bits,
+                               permutation_array)
 from qstoch.tol import DESCENT_STALL
 
 
@@ -561,8 +562,8 @@ def sigma_pair_minima_searchsorted(b: BistochasticMatrix):
                  + [np.sqrt(b.mat[i, :] * b.mat[j, :]) for i, j in pairs]
                  ).reshape(len(labels), n)
     half = (n + 1) // 2
-    left = t[:, :1] + _signed_sums(t[:, 1:half])
-    right = np.sort(_signed_sums(t[:, half:]), axis=1)
+    left = t[:, :1] + t[:, 1:half] @ (1.0 - 2.0 * _index_bits(half - 1)).T
+    right = np.sort(t[:, half:] @ (1.0 - 2.0 * _index_bits(n - half)).T, axis=1)
     pos = np.empty(left.shape, dtype=np.intp)
     for p in range(len(labels)):
         pos[p] = np.searchsorted(right[p], -left[p])

@@ -530,6 +530,15 @@ class TestUsageErrors:
     def test_missing_file(self, tmp_path):
         assert main(["verify-hadamard", str(tmp_path / "nope.qmat")]) == 2
 
+    @pytest.mark.parametrize("verb", [["phi"], ["mub", "check"]])
+    def test_unreadable_path_is_a_usage_error(self, verb, tmp_path, capsys):
+        """A path that cannot be read, here a directory, exits 2 with an
+        error line, not 1 (verified false) with a traceback."""
+        assert main([*verb, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "-inf", "x"])
     @pytest.mark.parametrize("verb", ["verify-hadamard", "verify-symplectic",
                                       "splits", "rank"])

@@ -8,14 +8,19 @@ from oracles import (generators_from_bases, jacobian_by_generators,
                      tangent_generators, zero_diagonal_orthogonal)
 from qstoch.differential import (_pattern_verdict_ch, _pattern_verdict_r,
                                  _zero_mask_stable, b_coordinates,
-                                 classify_point, codomain_dim, domain_dim,
-                                 jacobian, rank_report, shuffled_block_sum)
+                                 classify_point, jacobian, rank_report,
+                                 shuffled_block_sum)
 from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
                            WrongSize)
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
                             identity, qmat_adjoint, qmat_mul, qmul, qnormsq,
                             random_symplectic)
 from qstoch.quaternion import Quaternion
+
+
+# dim O(n), U(n) and Sp(n), the domains of the maps r, c and h
+DOMAIN_DIM = {"r": lambda n: n * (n - 1) // 2, "c": lambda n: n * n,
+              "h": lambda n: n * (2 * n + 1)}
 
 
 class TestTangentBases:
@@ -53,7 +58,19 @@ class TestTangentBases:
     def test_generator_counts_match_domain_dim(self):
         for mk in ("r", "c", "h"):
             for n in (2, 3, 4):
-                assert len(tangent_generators(mk, n)) == domain_dim(mk, n)
+                assert len(tangent_generators(mk, n)) == DOMAIN_DIM[mk](n)
+
+    def test_classify_reports_the_closed_form_dimensions(self, rng):
+        """classify_point reads its dimensions from the Jacobian's shape;
+        they are dim O(n), U(n), Sp(n) and (n-1)^2."""
+        for n in range(2, 7):
+            points = {"r": QMatrix.from_real(haar_orthogonal(n, rng)),
+                      "c": QMatrix.from_complex(haar_unitary(n, rng)),
+                      "h": random_symplectic(n, n)}
+            for mk, p in points.items():
+                res = classify_point(mk, p, cross_check=False)
+                assert res.domain_dim == DOMAIN_DIM[mk](n)
+                assert res.codomain_dim == (n - 1) ** 2
 
     def test_generators_match_dense_bases(self):
         for mk in ("r", "c", "h"):
@@ -235,7 +252,7 @@ class TestClassification:
     def test_fourier_regular_for_c(self):
         res = classify_point("c", fourier(3))
         assert res.verdict == "regular"
-        assert res.rank == codomain_dim(3)
+        assert res.rank == (3 - 1) ** 2
 
     def test_real_orthogonal_critical_for_c_and_h(self, rng):
         x = QMatrix.from_real(haar_orthogonal(3, rng))

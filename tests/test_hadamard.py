@@ -385,6 +385,21 @@ class TestSpecialVariants:
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
         assert found == []
 
+    def test_omega_powers_have_one_owner(self):
+        """One statement in src/qstoch turns powers of OMEGA into arrays:
+        hadamard.OMEGA_POWERS, which the 3x3 system and the sweep read."""
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                if any(isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", None) == "as_array"
+                       and "OMEGA" in ast.unparse(node.func.value)
+                       for node in ast.walk(stmt)):
+                    found.append(f"{path.name}:{stmt.lineno}")
+        assert len(found) == 1 and found[0].startswith("hadamard.py:"), found
+        assert np.array_equal(hadamard.OMEGA_POWERS, [
+            ONE.as_array(), OMEGA.as_array(), (OMEGA * OMEGA).as_array()])
+
 
 class TestFamilySweeps:
     def test_special_points_unbiased(self):

@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gram_schmidt_loop, hamilton_qmat_mul, splits_dfs
+import qstoch
 from qstoch.errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
                            ZeroInFrame)
 from qstoch.qmatrix import (QMatrix, diag, fourier, gram_schmidt_columns,
-                            identity, qmat_mul, qnorm, qnormsq,
+                            haar_unitary, identity, qmat_mul, qnorm, qnormsq,
                             random_symplectic, read_matrix_text,
                             read_qmatrix_text, write_qmat, write_rmat)
 from qstoch.quaternion import I as QI
@@ -251,6 +255,43 @@ class TestRandomSymplectic:
         assert np.max(np.abs(sq.sum(axis=0) - 1)) < 1e-10
         assert np.max(np.abs(sq.sum(axis=1) - 1)) < 1e-10
         assert sq.min() > -1e-12
+
+
+# SHA-256 of haar_unitary(n, default_rng(seed)).tobytes(): its draws and
+# its QR phase fix, bit for bit (haar_orthogonal's bits are pinned through
+# the distance-j3 golden rows)
+HAAR_UNITARY_SHA256 = {
+    (1, 0): "502ba4364a9aa9811d555f610d25e3a5690289ff32a8d500311ab2349d3d42ef",
+    (2, 0): "9bb84431b750301fb6e1aa6471bc7c56c1c85f5b0bd599445778aa251c76964d",
+    (3, 1): "9f91e17868dbceb4dfaec541c2704a41db0249a5a5853479df72c911cac0e4bb",
+    (4, 2): "ad71a9edf5cdec2435086a67b6a87b8c5108a4aaa0aa888a48f68c27c98a6571",
+    (6, 3): "8f3ea85b83ca0807664bf79d4f18197f5b70ded37cdb32fda3cd35154f9fbe68",
+}
+
+
+class TestHaarSamplers:
+    @pytest.mark.parametrize("n,seed", sorted(HAAR_UNITARY_SHA256))
+    def test_haar_unitary_bits_are_pinned(self, n, seed):
+        data = haar_unitary(n, np.random.default_rng(seed)).tobytes()
+        assert hashlib.sha256(data).hexdigest() == HAAR_UNITARY_SHA256[n, seed]
+
+    def test_haar_unitary_draw_order_is_pinned(self):
+        """Five draws from one generator: each consumes the same numbers."""
+        rng = np.random.default_rng(7)
+        data = b"".join(haar_unitary(3, rng).tobytes() for _ in range(5))
+        assert hashlib.sha256(data).hexdigest() == (
+            "be382dd911a83a08636dd59b02a52dea82d8caf5871c65018cb8ba121d8365aa")
+
+    def test_qr_has_one_owner(self):
+        """np.linalg.qr is called in one place, the positive-diagonal QR
+        that the Haar samplers and the Sp(n) retraction share."""
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "qr"
+                        and ast.unparse(node.value) == "np.linalg"):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert len(found) == 1 and found[0].startswith("qmatrix.py:"), found
 
 
 class TestLemmaColumnForm:

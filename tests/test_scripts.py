@@ -15,7 +15,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("argv,first_line", [
     (["h3_maximality.py", "--grid", "4", "--conj-grid", "2", "--restarts", "1"],
      "grid sweep: candidates=12,096 near_misses=0 found=False ("),
-    (["distance_j3.py", "--restarts", "2"], "distance,iterations,restarts"),
     (["rank_witness.py"], "jacobian shape: (9, 36)"),
 ])
 def test_script_runs(argv, first_line):

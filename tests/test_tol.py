@@ -105,3 +105,16 @@ def test_group_membership_has_one_owner():
                     found.append(f"{path.relative_to(root)}:{line}: {name}")
     assert found == []
     assert not retired & set(vars(tol))
+
+
+def test_verdict_thresholds_have_one_owner():
+    """SIGMA_MIN and ORTHO3_RESIDUAL are read only in qstoch.stochastic
+    (SigmaMinima.feasible, ortho3_test); the CLI takes those verdicts."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("tol.py", "stochastic.py"):
+            continue
+        for name, line in _identifiers(ast.parse(path.read_text())):
+            if name in ("SIGMA_MIN", "ORTHO3_RESIDUAL"):
+                found.append(f"{path.name}:{line}: {name}")
+    assert found == []
