@@ -14,8 +14,8 @@ import math
 import time
 from types import SimpleNamespace
 
-from qstoch.mub import direct_maximality_search, extend_search, one_param_h3
-from qstoch.tol import NEAR_MISS
+from qstoch.mub import (direct_maximality_search, extend_search,
+                        is_maximality_evidence, one_param_h3)
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
     viol, _ = direct_maximality_search(mubset, args.restarts, args.seed)
     print(f"direct search: best violation {viol:.3e} over {args.restarts} "
           f"restarts ({time.time() - mid:.1f}s)")
-    if found is None and viol >= NEAR_MISS:
+    if found is None and is_maximality_evidence(viol):
         print(f"no extension at grid={args.grid} conj_grid={args.conj_grid}; "
               "evidence of maximality at this resolution")
     else:

@@ -19,7 +19,7 @@ from .qmatrix import (QMatrix, load_matrix, load_qmatrix, write_qmat,
                       write_rmat)
 from .quaternion import parse_quaternion
 from .stochastic import BistochasticMatrix
-from .tol import GROUP, HADAMARD, NEAR_MISS, RANK_RATIO, ZERO_ENTRY
+from .tol import GROUP, HADAMARD, RANK_RATIO, ZERO_ENTRY
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -185,47 +185,42 @@ def _load_mubset(paths) -> mub.MubSet:
     return mub.MubSet(bases[0].rows, bases)
 
 
-def _cmd_mub(args) -> int:
-    if args.mub_command == "check":
-        bases = _load_bases(args.files)
-        try:
-            worst = mub.check_bases(bases[0].rows, bases)
-        except QStochError as exc:
-            print(f"mub=false size={len(bases)} reason={exc}")
-            return EXIT_FALSE
-        print(f"mub=true size={len(bases)} worst_pair_deviation={worst:.3e}")
-        return EXIT_TRUE
-    if args.mub_command == "h2-complete":
-        sys.stdout.write(mub.write_mubset(mub.complete_mub_h2()))
-        return EXIT_TRUE
-    if args.mub_command == "h3-one-param":
-        sys.stdout.write(mub.write_mubset(mub.one_param_h3(args.s, args.t)))
-        return EXIT_TRUE
-    if args.mub_command == "h3-three-param":
-        mubset = mub.three_param_h3(parse_quaternion(args.a),
-                                    parse_quaternion(args.b),
-                                    parse_quaternion(args.c))
-        sys.stdout.write(mub.write_mubset(mubset))
-        return EXIT_TRUE
-    if args.mub_command == "extend":
-        mubset = _load_mubset(args.files)
-        found = mub.extend_search(mubset, args.grid, args.conj_grid)
-        if found is None:
-            print(f"extension=none grid={args.grid} conj_grid={args.conj_grid}")
-            return EXIT_FALSE
-        sys.stdout.write(write_qmat(found))
-        return EXIT_TRUE
-    if args.mub_command == "maximality":
-        mubset = _load_mubset(args.files)
-        viol, witness = mub.direct_maximality_search(mubset, args.restarts,
-                                                     args.seed)
-        if args.format == "csv":
-            print("violation,restarts,seed")
-            print(f"{viol:.17g},{args.restarts},{args.seed}")
-        else:
-            print(f"violation={viol:.3e} restarts={args.restarts}")
-        return EXIT_TRUE if viol >= NEAR_MISS else EXIT_FALSE
-    raise QStochError(f"unknown mub command {args.mub_command!r}")
+def _cmd_mub_check(args) -> int:
+    bases = _load_bases(args.files)
+    try:
+        worst = mub.check_bases(bases[0].rows, bases)
+    except QStochError as exc:
+        print(f"mub=false size={len(bases)} reason={exc}")
+        return EXIT_FALSE
+    print(f"mub=true size={len(bases)} worst_pair_deviation={worst:.3e}")
+    return EXIT_TRUE
+
+
+def _cmd_mub_family(args) -> int:
+    """h2-complete, h3-one-param and h3-three-param: write args.build(args)."""
+    sys.stdout.write(mub.write_mubset(args.build(args)))
+    return EXIT_TRUE
+
+
+def _cmd_mub_extend(args) -> int:
+    mubset = _load_mubset(args.files)
+    found = mub.extend_search(mubset, args.grid, args.conj_grid)
+    if found is None:
+        print(f"extension=none grid={args.grid} conj_grid={args.conj_grid}")
+        return EXIT_FALSE
+    sys.stdout.write(write_qmat(found))
+    return EXIT_TRUE
+
+
+def _cmd_mub_maximality(args) -> int:
+    mubset = _load_mubset(args.files)
+    viol, _ = mub.direct_maximality_search(mubset, args.restarts, args.seed)
+    if args.format == "csv":
+        print("violation,restarts,seed")
+        print(f"{viol:.17g},{args.restarts},{args.seed}")
+    else:
+        print(f"violation={viol:.3e} restarts={args.restarts}")
+    return EXIT_TRUE if mub.is_maximality_evidence(viol) else EXIT_FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -333,29 +328,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = msub.add_parser("check")
     m.add_argument("files", nargs="+")
+    m.set_defaults(func=_cmd_mub_check)
 
-    msub.add_parser("h2-complete")
+    m = msub.add_parser("h2-complete")
+    m.set_defaults(func=_cmd_mub_family,
+                   build=lambda args: mub.complete_mub_h2())
 
     m = msub.add_parser("h3-one-param")
     m.add_argument("--s", type=float, required=True)
     m.add_argument("--t", type=float, required=True)
+    m.set_defaults(func=_cmd_mub_family,
+                   build=lambda args: mub.one_param_h3(args.s, args.t))
 
     m = msub.add_parser("h3-three-param")
     m.add_argument("--a", required=True)
     m.add_argument("--b", required=True)
     m.add_argument("--c", required=True)
+    m.set_defaults(func=_cmd_mub_family, build=lambda args: mub.three_param_h3(
+        *(parse_quaternion(q) for q in (args.a, args.b, args.c))))
 
     m = msub.add_parser("extend")
     m.add_argument("files", nargs="+")
     m.add_argument("--grid", type=int, default=64)
     m.add_argument("--conj-grid", type=int, default=32)
+    m.set_defaults(func=_cmd_mub_extend)
 
     m = msub.add_parser("maximality")
     m.add_argument("files", nargs="+")
     m.add_argument("--restarts", type=int, default=50)
     m.add_argument("--seed", type=int, default=0)
+    m.set_defaults(func=_cmd_mub_maximality)
 
-    p.set_defaults(func=_cmd_mub)
     return parser
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InternalInconsistency, NotInGroup, UnsupportedSize,
-                     WrongScalarField, WrongSize)
+from .errors import (InternalInconsistency, NotInGroup, WrongScalarField,
+                     WrongSize)
 from .qmatrix import QMatrix, haar_orthogonal, qmul
 from .quaternion import aligning_conjugator
 from .tol import (GROUP, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO, SCALAR_FIELD,
@@ -137,7 +137,6 @@ class ClassifyResult:
     codomain_dim: int
     sv_gap_ratio: float
     pattern_verdict: str | None
-    reason: str
 
     def report_line(self) -> str:
         return (f"map={self.map_kind} n={self.n} rank={self.rank} "
@@ -159,8 +158,6 @@ def _zero_mask_stable(norms: np.ndarray):
 
 def _pattern_verdict_r(p: QMatrix) -> str:
     n = p.rows
-    if n not in _PATTERN_SIZES["r"]:
-        raise UnsupportedSize("pattern classification for map r needs n <= 4")
     mask = _zero_mask_stable(p.norms())
     if mask is None:
         return "undecided"
@@ -208,8 +205,6 @@ _PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 def _pattern_verdict_ch(p: QMatrix) -> str:
     n = p.rows
-    if n not in _PATTERN_SIZES["c"]:
-        raise UnsupportedSize("pattern classification for maps c,h needs n <= 3")
     if _zero_mask_stable(p.norms()) is None:
         return "undecided"
     if p.splits():
@@ -248,7 +243,6 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
     else:
         verdict = "critical" if rank < cdim else "regular"
     pattern = None
-    reason = f"rank {rank} vs domain {ddim}, codomain {cdim}"
     if cross_check and n in _PATTERN_SIZES[map_kind]:
         if map_kind == "r":
             pattern = _pattern_verdict_r(p)
@@ -258,9 +252,8 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
             raise InternalInconsistency(
                 f"rank verdict {verdict} but pattern verdict {pattern} "
                 f"(map {map_kind}, n={n})")
-        reason += f"; pattern check: {pattern}"
     return ClassifyResult(map_kind, n, verdict, rank, ddim, cdim, gap,
-                          pattern, reason)
+                          pattern)
 
 
 # ---------------------------------------------------------------------------

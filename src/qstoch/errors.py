@@ -45,10 +45,6 @@ class WrongScalarField(QStochError):
     """Matrix entries live outside the scalar field of the requested map."""
 
 
-class UnsupportedSize(QStochError):
-    """Theorem-based cross check is not available for this size."""
-
-
 class InternalInconsistency(QStochError):
     """Rank-based and pattern-based classifications disagree."""
 

@@ -388,7 +388,6 @@ def phi_circle_roots_arr(a: np.ndarray):
     return thetas, valid
 
 
-_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # 1, omega and omega^2 as (4,) rows
 OMEGA_POWERS = np.array([[1.0, 0.0, 0.0, 0.0], OMEGA.as_array(),
                          (OMEGA * OMEGA).as_array()])
@@ -400,12 +399,12 @@ def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
 
     The four equations are <1 + w^-i a z^j, 1 + w^i b z^-j> = 1 for
     i, j in {0,1}, written with the real inner product <p,q> = Re(conj(p) q).
-    Since Re(x e_m y) = s_m (y x)_m with s = (1,-1,-1,-1), row (i,j) of B is
-    s * (z^-j (w^i + z^-j conj(a) w^2i)) and v = -Re(w^-i a z^j), where
-    z^-1 = z^2 as z^3 = 1.  Rows are ordered (0,0),(0,1),(1,0),(1,1); with
-    this order the five signed determinants d_i of the augmented matrix
-    (drop column i) satisfy d5 = 3 p(a,s,t)^2 and
-    8(sum d_i^2 - d5^2) = 9 d5 phi(a,s,t).
+    Since Re(x e_m y) = s_m (y x)_m with s = (1,-1,-1,-1), and s * q is
+    conj(q), row (i,j) of B is conj(z^-j (w^i + z^-j conj(a) w^2i)) and
+    v = -Re(w^-i a z^j), where z^-1 = z^2 as z^3 = 1.  Rows are ordered
+    (0,0),(0,1),(1,0),(1,1); with this order the five signed determinants
+    d_i of the augmented matrix (drop column i) satisfy d5 = 3 p(a,s,t)^2
+    and 8(sum d_i^2 - d5^2) = 9 d5 phi(a,s,t).
     """
     one, w, w2 = OMEGA_POWERS
     abar = qconj(a)
@@ -414,9 +413,9 @@ def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):
     rows = [one + abar, qmul(zeta2, one + qmul(zeta2, abar)),
             w + abar_w2, qmul(zeta2, w + qmul(zeta2, abar_w2))]
     az = qmul(a, zeta)
-    re_w2 = _SIGNS * w2  # q @ re_w2 = Re(w^2 q) = Re(w^-1 q)
+    re_w2 = qconj(w2)  # q @ re_w2 = Re(w^2 q) = Re(w^-1 q)
     v = -np.stack([a[..., 0], az[..., 0], a @ re_w2, az @ re_w2], axis=-1)
-    return _SIGNS * np.stack(rows, axis=-2), v
+    return qconj(np.stack(rows, axis=-2)), v
 
 
 def family3_matrix_arr(rows: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ import numpy as np
 from . import hadamard
 from .errors import (BadParams, DimensionMismatch, NotNormalized,
                      NotSymplectic, TooManyBases, WrongSize)
-from .qmatrix import (_ODD_ROW_SIGNS, QMatrix, _chi, _from_chi_rows,
-                      _qr_retract, fourier, gram_schmidt_columns, identity,
-                      qconj, qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
+from .qmatrix import (QMatrix, _chi, _from_chi_rows, _odd_rows, _qr_retract,
+                      fourier, gram_schmidt_columns, identity, qconj,
+                      qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
                       random_quaternion_array, read_qmatrix_text, write_qmat)
 from .quaternion import ONE, Quaternion
 from .tol import (DESCENT_GOAL, DESCENT_STALL, GRADIENT_FLOOR, GROUP,
@@ -217,12 +217,11 @@ class _ChiBuffer:
         self.full = np.empty((2 * n, 2 * n), dtype=complex)
         blocks = self.full.reshape(n, 2, n, 2)
         self.even = self.full[::2]
-        self._swapped = blocks[:, 0, :, ::-1]  # (z2, z1) of every entry
-        self._odd = blocks[:, 1]  # (-conj z2, conj z1)
+        self._pairs = blocks[:, 0]  # (z1, z2) of every entry
+        self._odd = blocks[:, 1]
 
     def rebuild(self) -> None:
-        np.conjugate(self._swapped, out=self._odd)
-        self._odd *= _ODD_ROW_SIGNS
+        _odd_rows(self._pairs, out=self._odd)
 
 
 def _cholesky_retract(c: np.ndarray, out: _ChiBuffer) -> None:
@@ -251,7 +250,7 @@ def _deviations(x: np.ndarray, chi_targets: np.ndarray):
     n = x.shape[0] // 2
     y = x.conj().T @ chi_targets
     coords = y[::2].view(float).reshape(n, -1, 4)
-    dev = (coords * coords).sum(axis=-1) - 1.0 / n
+    dev = qnormsq(coords) - 1.0 / n
     flat = dev.ravel()
     return y, dev, float(flat @ flat)
 
@@ -353,6 +352,12 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
             best_viol = viol
             best_w = w
     return float(best_viol), QMatrix(best_w)
+
+
+def is_maximality_evidence(violation: float) -> bool:
+    """The maximality verdict on a direct_maximality_search violation: at
+    least NEAR_MISS, so no restart came near a basis that extends the set."""
+    return violation >= NEAR_MISS
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def qconj(a: np.ndarray) -> np.ndarray:
 
 
 def qnormsq(a: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=-1)
+    return (a * a).sum(axis=-1)
 
 
 def qnorm(a: np.ndarray) -> np.ndarray:
@@ -68,10 +68,18 @@ def _chi_rows(a: np.ndarray) -> np.ndarray:
     return a.view(complex).reshape(a.shape[:-2] + (2 * a.shape[-2],))
 
 
+def _odd_rows(pairs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The odd rows (-conj z2, conj z1) of chi from the (..., 2) pairs
+    (z1, z2) of its even rows, written into out when given."""
+    out = np.conjugate(pairs[..., ::-1], out=out)
+    out *= _ODD_ROW_SIGNS
+    return out
+
+
 def _chi_from_rows(z: np.ndarray) -> np.ndarray:
     """chi(A) from its even rows: (..., r, 2c) to (..., 2r, 2c) complex."""
     pairs = z.reshape(z.shape[:-1] + (-1, 2))  # (z1, z2)
-    odd = pairs[..., ::-1].conj() * _ODD_ROW_SIGNS  # (-conj z2, conj z1)
+    odd = _odd_rows(pairs)
     shape = z.shape[:-2] + (2 * z.shape[-2], z.shape[-1])
     return np.stack([pairs, odd], axis=-3).reshape(shape)
 
@@ -138,8 +146,9 @@ class QMatrix:
 
     def __init__(self, data: np.ndarray):
         arr = np.asarray(data, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 4:
-            raise DimensionMismatch(f"expected (rows, cols, 4) array, got {arr.shape}")
+        if arr.ndim != 3 or arr.shape[2] != 4 or 0 in arr.shape:
+            raise DimensionMismatch(
+                f"expected (rows, cols, 4) array with rows, cols >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFinite("quaternion matrix has a NaN or infinite entry")
         arr = arr.copy()
@@ -194,17 +203,13 @@ class QMatrix:
     def squared_norms(self) -> np.ndarray:
         return qnormsq(self.data)
 
-    def to_complex(self) -> np.ndarray:
-        """Complex matrix view; ignores j and k coordinates."""
-        return self.data[..., 0] + 1j * self.data[..., 1]
-
     def max_jk(self) -> float:
         """Largest j/k coordinate in absolute value (0 for a complex matrix)."""
-        return float(np.max(np.abs(self.data[..., 2:]))) if self.data.size else 0.0
+        return float(np.max(np.abs(self.data[..., 2:])))
 
     def max_imag(self) -> float:
         """Largest non-real coordinate in absolute value."""
-        return float(np.max(np.abs(self.data[..., 1:]))) if self.data.size else 0.0
+        return float(np.max(np.abs(self.data[..., 1:])))
 
     # -- algebra -------------------------------------------------------------
 

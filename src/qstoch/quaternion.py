@@ -84,9 +84,6 @@ class Quaternion:
 
     # -- structure --------------------------------------------------------
 
-    def pure_part(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def pure_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 

@@ -27,8 +27,9 @@ class BistochasticMatrix:
 
     def __init__(self, mat):
         arr = np.asarray(mat, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotBistochastic(f"expected a square matrix, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise NotBistochastic(
+                f"expected a square matrix with n >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NotBistochastic("matrix has a NaN or infinite entry")
         if np.min(arr) < ENTRY_FLOOR:
@@ -60,9 +61,6 @@ class SignPattern:
 
     n: int
     signs: np.ndarray
-
-    def signed_sqrt(self, b: BistochasticMatrix) -> np.ndarray:
-        return self.signs * np.sqrt(b.mat)
 
 
 def phi(m: QMatrix) -> BistochasticMatrix:
@@ -246,11 +244,6 @@ def sigma_pair_minima(b: BistochasticMatrix) -> SigmaMinima:
         best[start:start + block] = _nearest_cross_gaps(
             -(tb[:, :1] + tb[:, 1:half] @ left.T), tb[:, half:] @ right.T)
     return SigmaMinima(n, np.abs(best))
-
-
-def sigma_check(b: BistochasticMatrix) -> bool:
-    """True when every pair of rows and columns admits a vanishing signing."""
-    return sigma_pair_minima(b).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_13_involution_dichotomy():
             if verdict.verdict != "not_qustochastic":
                 ok = False
                 break
-            if stochastic.sigma_check(verdict.matrix):
+            if stochastic.sigma_pair_minima(verdict.matrix).feasible:
                 ok = False
                 break
     elapsed = time.time() - start

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qstoch
+from qstoch import cli
 from qstoch.cli import main
 from qstoch.hadamard import verify_family3
 from qstoch.mub import (MubSet, complete_mub_h2, one_param_h3, three_param_h3,
@@ -433,6 +434,29 @@ class TestMubCommands:
     def test_h3_three_param(self, capsys):
         z = f"(-0.5,{math.sqrt(3) / 2},0,0)"
         assert main(["mub", "h3-three-param", "--a", z, "--b", z, "--c", z]) == 0
+
+    def test_h3_three_param_rejects_a_bad_quaternion(self, capsys):
+        argv = ["mub", "h3-three-param", "--a", "xyz", "--b", "1", "--c", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: expected 4 comma-separated fields, got 'xyz'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "f"], ["h2-complete"], ["h3-one-param", "--s", "0", "--t", "0"],
+        ["h3-three-param", "--a", "1", "--b", "1", "--c", "1"], ["extend", "f"],
+        ["maximality", "f"]])
+    def test_each_subcommand_has_a_handler(self, argv):
+        args = cli.build_parser().parse_args(["mub", *argv])
+        assert args.func.__name__.startswith("_cmd_mub_")
+        assert not hasattr(cli, "_cmd_mub")
+
+    def test_missing_subcommand_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mub"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "qstoch mub: error: the following arguments are required: "
+            "mub_command\n")
 
     def test_extend_on_pair(self, capsys, tmp_path):
         path_i = tmp_path / "i3.qmat"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,8 @@ from qstoch.differential import (_pattern_verdict_ch, _pattern_verdict_r,
                                  _zero_mask_stable, b_coordinates,
                                  classify_point, jacobian, rank_report,
                                  shuffled_block_sum)
-from qstoch.errors import (NotInGroup, UnsupportedSize, WrongScalarField,
-                           WrongSize)
+from qstoch import errors
+from qstoch.errors import NotInGroup, WrongScalarField, WrongSize
 from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
                             identity, qmat_adjoint, qmat_mul, qmul, qnormsq,
                             random_symplectic)
@@ -281,12 +283,18 @@ class TestClassification:
         res = classify_point("h", w)
         assert res.verdict == "regular"
 
-    def test_unsupported_size_raises_when_forced(self):
-        # the pattern check raises outside its sizes, so classify skips it
+    def test_unsupported_size_skips_pattern_check(self):
+        # the pattern rules decide maps c and h up to n = 3 only, so
+        # classify skips them at n = 4
         w = random_symplectic(4, seed=3)
-        with pytest.raises(UnsupportedSize):
-            _pattern_verdict_ch(w)
         assert classify_point("h", w).pattern_verdict is None
+
+    def test_pattern_sizes_have_one_owner(self):
+        """classify_point alone reads _PATTERN_SIZES; the rules it calls
+        check no size and raise no size error of their own."""
+        for rule in (_pattern_verdict_r, _pattern_verdict_ch):
+            assert "_PATTERN_SIZES" not in inspect.getsource(rule)
+        assert not hasattr(errors, "UnsupportedSize")
 
     def test_n2_rules_match_mask_oracle(self, rng):
         """The n = 2 verdicts through splits against the zero-mask rules, on

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -32,6 +33,15 @@ F3 = fourier(3)
 def unbiased_to_fourier_dev(m) -> float:
     gram = qmat_mul(qmat_adjoint(F3.data), m.data / math.sqrt(3))
     return float(np.max(np.abs(qnormsq(gram) - 1.0 / 3.0)))
+
+
+# SHA-256 of mub3_system_arr(a, zeta), matrices then sides, for Gaussian a
+# and zeta of shape shape + (4,) drawn in that order from default_rng(seed)
+MUB3_SYSTEM_SHA256 = {
+    (0, (5,)): "0e19f6036a71acf0e8b351231260ece1e44f6a5a3dea6225267456fe74570c7c",
+    (1, (3, 7)): "df5d25f40afa524bc5cbe96fa7ad9007f5f5e3a209ca1b1dd244bab29f4eaa74",
+    (2, ()): "22eb3050aff7a7108b22ac2ca86a8f8d953fa9df95ab3022045b1633e2bc1059",
+}
 
 
 def random_unit(rng) -> Quaternion:
@@ -124,6 +134,30 @@ class TestScalarInvariants:
 
 
 class TestUnbiasedSystem:
+    @pytest.mark.parametrize("seed,shape", sorted(MUB3_SYSTEM_SHA256))
+    def test_system_bits_are_pinned(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape + (4,))
+        zeta = rng.standard_normal(shape + (4,))
+        mat, v = mub3_system_arr(a, zeta)
+        digest = hashlib.sha256(mat.tobytes() + v.tobytes()).hexdigest()
+        assert digest == MUB3_SYSTEM_SHA256[seed, shape]
+
+    def test_conjugation_has_one_owner(self):
+        """Conjugation is qconj: no module in src/qstoch spells out the sign
+        vector (1, -1, -1, -1) as a list."""
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.List) and len(node.elts) == 4:
+                    try:
+                        values = ast.literal_eval(node)
+                    except ValueError:
+                        continue
+                    if values == [1, -1, -1, -1]:
+                        found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+        assert not hasattr(hadamard, "_SIGNS")
     def test_determinant_identity_d5(self, rng):
         for _ in range(200):
             a = random_unit(rng)

@@ -44,7 +44,7 @@ class TestAdjoint:
     def test_fourier_unitarity_against_complex_oracle(self):
         f3 = fourier(3)
         oracle = complex_fourier(3)
-        assert np.max(np.abs(f3.to_complex() - oracle)) < 1e-15
+        assert np.max(np.abs(f3.data[..., 0] + 1j * f3.data[..., 1] - oracle)) < 1e-15
         gram = f3.adjoint() @ f3
         assert gram.approx_eq(identity(3), 1e-12)
 
@@ -120,6 +120,20 @@ class TestComplexAdjointKernel:
     def test_qr_retraction_keeps_orthonormal_input(self):
         w = random_symplectic(4, seed=3).data
         assert np.max(np.abs(gram_schmidt_columns(w) - w)) < 1e-12
+
+    def test_odd_rows_have_one_owner(self):
+        """qmatrix._odd_rows writes chi's odd rows (-conj z2, conj z1), for
+        _chi and for the descent's buffer; no other module names the signs."""
+        found = []
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            if path.name == "qmatrix.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if "_ODD_ROW_SIGNS" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None)):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestPredicates:
@@ -228,7 +242,8 @@ class TestFourier:
     def test_n3_entry(self):
         # entry (2,3): omega^2 / sqrt(3)
         omega2 = complex(-0.5, -math.sqrt(3) / 2)
-        got = fourier(3).to_complex()[1, 2] * math.sqrt(3)
+        f3 = fourier(3).data
+        got = (f3[..., 0] + 1j * f3[..., 1])[1, 2] * math.sqrt(3)
         assert abs(got - omega2) < 1e-12
 
     def test_n5_symplectic(self):
@@ -350,6 +365,17 @@ class TestTextFormats:
     def test_rejects_non_finite_entries(self, text):
         with pytest.raises(ValueError):
             read_matrix_text(text)
+
+
+class TestEmptyMatrices:
+    @pytest.mark.parametrize("shape", [(0, 0, 4), (0, 3, 4), (3, 0, 4)])
+    def test_qmatrix_rejects_a_zero_dimension(self, shape):
+        with pytest.raises(DimensionMismatch):
+            QMatrix(np.zeros(shape))
+
+    def test_identity_of_size_zero_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            identity(0)
 
 
 class TestNonFinite:

@@ -65,19 +65,8 @@ class TestMul:
     @given(quaternions)
     def test_conj_times_self_is_norm_sq(self, q):
         prod = q.conjugate() * q
-        assert prod.pure_part().norm() <= 1e-12 * max(1.0, q.norm_sq())
+        assert prod.pure_norm() <= 1e-12 * max(1.0, q.norm_sq())
         assert prod.w == pytest.approx(q.norm_sq(), rel=1e-12, abs=1e-12)
-
-
-class TestPurePart:
-    def test_examples(self):
-        assert Quaternion(1, 2, 3, 4).pure_part() == Quaternion(0, 2, 3, 4)
-        assert Quaternion(5, 0, 0, 0).pure_part() == Quaternion(0, 0, 0, 0)
-
-    @given(quaternions)
-    def test_pure_is_anti_self_conjugate(self, q):
-        p = q.pure_part()
-        assert (p + p.conjugate()).norm() == 0.0
 
 
 class TestConjugateBy:

@@ -17,7 +17,7 @@ from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                minimize, ortho3_residual, ortho3_test,
                                orthostochastic_bruteforce,
                                permutation_array, phi, segment_block_analysis,
-                               sigma_check, sigma_pair_minima, sigma_poly_4,
+                               sigma_pair_minima, sigma_poly_4,
                                van_der_waerden)
 
 HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
@@ -52,6 +52,10 @@ class TestBistochasticType:
             assert np.array_equal(orthostochastic_bruteforce(b).signs, np.ones((2, 2)))
         with pytest.raises(NotBistochastic):
             BistochasticMatrix(np.array([[1.0 + 2e-12, -2e-12], [-2e-12, 1.0 + 2e-12]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(NotBistochastic):
+            BistochasticMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
@@ -151,11 +155,11 @@ class TestSigmaPoly4:
 
 class TestSigmaCheck:
     def test_j6_passes(self):
-        assert sigma_check(van_der_waerden(6))
+        assert sigma_pair_minima(van_der_waerden(6)).feasible
 
     def test_j3_fails_vs_exhaustive_oracle(self):
         j3 = van_der_waerden(3)
-        assert not sigma_check(j3)
+        assert not sigma_pair_minima(j3).feasible
         t = np.sqrt(j3.mat[:, 0] * j3.mat[:, 1])
         assert not brute_sign_feasible(t)
 
@@ -170,7 +174,7 @@ class TestSigmaCheck:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            sigma_check(van_der_waerden(25))
+            sigma_pair_minima(van_der_waerden(25)).feasible
 
 
 def _minima(rows):
@@ -244,16 +248,16 @@ class TestSigmaMeetInTheMiddle:
         rng = np.random.default_rng(1000 + n)
         generic = birkhoff_sample(n, rng)
         self.check(generic)
-        assert not sigma_check(generic)
+        assert not sigma_pair_minima(generic).feasible
         image = phi(QMatrix.from_real(haar_orthogonal(n, rng)))
         self.check(image)
-        assert sigma_check(image)
+        assert sigma_pair_minima(image).feasible
 
     def test_exact_cancellations(self):
         for b in (van_der_waerden(2), van_der_waerden(6),
                   BistochasticMatrix(np.eye(7)), hurwitz_radon_matrix(seed=0)):
             self.check(b)
-            assert sigma_check(b)
+            assert sigma_pair_minima(b).feasible
 
     def test_order_and_labels(self):
         rows = sigma_pair_minima(van_der_waerden(4))
@@ -263,7 +267,7 @@ class TestSigmaMeetInTheMiddle:
 
     def test_n1_has_no_pairs(self):
         assert sigma_pair_minima(van_der_waerden(1)) == []
-        assert sigma_check(van_der_waerden(1))
+        assert sigma_pair_minima(van_der_waerden(1)).feasible
 
 
 def _exact_inputs():
@@ -385,7 +389,7 @@ class TestBruteforce:
     def test_j4_has_hadamard_signing(self):
         pattern = orthostochastic_bruteforce(van_der_waerden(4))
         assert pattern is not None
-        x = pattern.signed_sqrt(van_der_waerden(4))
+        x = pattern.signs * np.sqrt(van_der_waerden(4).mat)
         assert np.max(np.abs(x.T @ x - np.eye(4))) < 1e-12
 
     def test_j3_has_none(self):
@@ -445,7 +449,7 @@ class TestSegments:
     def test_three_cycle_not_qustochastic(self):
         v = segment_block_analysis((0, 1, 2), (1, 2, 0), 0.5)
         assert v.verdict == "not_qustochastic"
-        assert not sigma_check(v.matrix)
+        assert not sigma_pair_minima(v.matrix).feasible
         expected = 0.5 * (np.eye(3) + permutation_array((1, 2, 0)))
         assert np.array_equal(v.matrix.mat, expected)
 
@@ -521,4 +525,4 @@ class TestHurwitzRadon:
                 assert x.mat[alpha, beta] == weights[alpha ^ beta]
 
     def test_satisfies_sigma(self):
-        assert sigma_check(hurwitz_radon_matrix(seed=0))
+        assert sigma_pair_minima(hurwitz_radon_matrix(seed=0)).feasible
