@@ -16,8 +16,7 @@ import numpy as np
 from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
 from .mub import _descend
 from .qmatrix import QMatrix, haar_orthogonal, qmat_eye
-from .tol import (BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP,
-                  ORTHO3_RESIDUAL, SIGMA_MIN)
+from .tol import BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP, SIGMA_MIN
 
 
 class BistochasticMatrix:
@@ -86,7 +85,8 @@ def ortho3_residual(b: BistochasticMatrix) -> float:
     """Residual of the degree-4 orthostochasticity equation for n = 3.
 
     With (x, y, z, w) the top-left 2x2 block, the matrix is orthostochastic
-    exactly when (1-x-y-z-w+xw+yz)^2 = 4xyzw.
+    exactly when (1-x-y-z-w+xw+yz)^2 = 4xyzw.  The residual scales with the
+    fourth power of the entries, so ortho3_test does not decide by it.
     """
     if b.n != 3:
         raise WrongSize("ortho3 is defined for 3x3 matrices")
@@ -96,7 +96,11 @@ def ortho3_residual(b: BistochasticMatrix) -> float:
 
 
 def ortho3_test(b: BistochasticMatrix) -> bool:
-    return abs(ortho3_residual(b)) <= ORTHO3_RESIDUAL
+    """The Sigma_3 verdict, which is exact at n = 3: two orthogonal columns
+    of a signed sqrt(B) fix the third up to sign."""
+    if b.n != 3:
+        raise WrongSize("ortho3 is defined for 3x3 matrices")
+    return sigma_pair_minima(b).feasible
 
 
 def _pair_residual(t2: np.ndarray) -> float:
@@ -258,38 +262,32 @@ def orthostochastic_bruteforce(b: BistochasticMatrix):
 
     Fixing the first row and column to +1 loses nothing: signs of an
     orthogonal preimage can always be dephased over R, and a sign at a zero
-    entry is immaterial, so it is kept +1.  Patterns are completed column
-    by column: a candidate column (first sign +1) survives only when its
-    inner product with every placed column, and its squared norm minus 1,
-    are within BRUTE_GRAM.  Of the complete patterns the one returned is
-    the first in the scan order where bit (r-1)(n-1)+(c-1) of the index is
-    the sign of entry (r, c), so the result is deterministic.
+    entry is immaterial, so it is kept +1.  The scan index of a pattern has
+    bit (r-1)(n-1)+(c-1) set when entry (r, c) is -1.  Rows are completed
+    from the last to the second, each row's sign vectors in increasing bit
+    order, so the partial patterns stay in scan order and the first
+    complete one has the smallest index.  A candidate row survives when its
+    inner product with every placed row is within BRUTE_GRAM; the rows of
+    sqrt(B) have norm 1 within BISTOCHASTIC_SUM, below BRUTE_GRAM.
     """
     n = b.n
     if n > _BRUTE_MAX_N:
         raise TooLarge(f"pattern search capped at n = {_BRUTE_MAX_N}")
     root = np.sqrt(b.mat)
-    if not abs(root[:, 0] @ root[:, 0] - 1.0) <= BRUTE_GRAM:
-        return None
     flips = _index_bits(n - 1)
-    row_bit = (n - 1) * np.arange(n - 1)  # index bit of entry (r, 1), r >= 1
-    placed = root[None, :, :1]  # (partial patterns, n, columns placed)
-    index = np.zeros(1, dtype=np.int64)
-    for c in range(1, n):
-        # flipping a zero entry changes no inner product, only the index
-        f = flips[~(flips & (root[1:, c] == 0.0)).any(axis=1)]
-        cand = root[:, c] * np.hstack([np.ones((len(f), 1)), 1.0 - 2.0 * f])
-        norm_ok = np.abs(np.einsum("kr,kr->k", cand, cand) - 1.0) <= BRUTE_GRAM
-        inner = np.einsum("prc,kr->pkc", placed, cand)
-        p, q = np.nonzero((np.abs(inner) <= BRUTE_GRAM).all(axis=2) & norm_ok)
+    signs = np.ones((1, n, n))  # (partial patterns, n, n)
+    for r in range(n - 1, 0, -1):
+        f = flips[~(flips & (root[r, 1:] == 0.0)).any(axis=1)]
+        cand = np.hstack([np.ones((len(f), 1)), 1.0 - 2.0 * f])
+        # the first row and the rows placed so far
+        placed = (signs * root)[:, [0, *range(r + 1, n)]]
+        inner = np.einsum("pqc,kc->pkq", placed, cand * root[r])
+        p, k = np.nonzero((np.abs(inner) <= BRUTE_GRAM).all(axis=2))
         if p.size == 0:
             return None
-        placed = np.concatenate([placed[p], cand[q, :, None]], axis=2)
-        index = index[p] + (f[q] << (row_bit + c - 1)).sum(axis=1)
-    bits = (index.min() >> np.arange((n - 1) * (n - 1))) & 1
-    signs = np.ones((n, n))
-    signs[1:, 1:] = (1.0 - 2.0 * bits).reshape(n - 1, n - 1)
-    return SignPattern(n, signs)
+        signs = signs[p]
+        signs[:, r] = cand[k]
+    return SignPattern(n, signs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +303,6 @@ def permutation_array(perm) -> np.ndarray:
     return out
 
 
-def _cycles(perm) -> list[list[int]]:
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cur, cyc = start, []
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = perm[cur]
-        cycles.append(cyc)
-    return cycles
-
-
 @dataclass(frozen=True)
 class SegmentVerdict:
     verdict: str  # "orthostochastic" or "not_qustochastic"
@@ -329,39 +311,27 @@ class SegmentVerdict:
 
 
 def segment_block_analysis(sigma, tau, p: float) -> SegmentVerdict:
-    """Classify the segment p*P_sigma + (1-p)*P_tau by the cycle type of
-    sigma^-1 tau.
+    """Classify the segment p*P_sigma + (1-p)*P_tau by rho = sigma^-1 tau.
 
-    All cycles of length <= 2 give an orthostochastic point with an explicit
-    orthogonal witness built from 2x2 rotation blocks; a longer cycle makes
-    the midpoint fail the sign-feasibility system, so the verdict is
-    not_qustochastic (reported at p = 1/2).
+    When rho is an involution, all its cycles have length <= 2 and the point
+    is orthostochastic, with an explicit orthogonal witness built from 2x2
+    rotation blocks; a longer cycle makes the midpoint fail the
+    sign-feasibility system, so the verdict is not_qustochastic (reported at
+    p = 1/2).
     """
     if not (0.0 < p < 1.0):
         raise WrongSize("p must lie strictly between 0 and 1")
-    sigma = tuple(sigma)
-    tau = tuple(tau)
-    n = len(sigma)
-    inv_sigma = [0] * n
-    for j, i in enumerate(sigma):
-        inv_sigma[i] = j
-    rho = tuple(inv_sigma[tau[j]] for j in range(n))
-    cycles = _cycles(rho)
-    if all(len(c) <= 2 for c in cycles):
-        comb = p * permutation_array(sigma) + (1 - p) * permutation_array(tau)
-        y = np.zeros((n, n))
-        sp, sq = np.sqrt(p), np.sqrt(1 - p)
-        for cyc in cycles:
-            if len(cyc) == 1:
-                y[cyc[0], cyc[0]] = 1.0
-            else:
-                a, bidx = cyc
-                y[a, a] = y[bidx, bidx] = sp
-                y[a, bidx] = sq
-                y[bidx, a] = -sq
-        witness = permutation_array(sigma) @ y
-        return SegmentVerdict("orthostochastic", BistochasticMatrix(comb), witness)
-    mid = 0.5 * permutation_array(sigma) + 0.5 * permutation_array(tau)
+    p_sigma, p_tau = permutation_array(sigma), permutation_array(tau)
+    rho = np.argsort(sigma)[np.asarray(tau)]
+    j = np.arange(len(rho))
+    if np.array_equal(rho[rho], j):
+        # each 2-cycle (a, b), a < b, gets the block [[sp, sq], [-sq, sp]]
+        y = np.diag(np.where(rho == j, 1.0, np.sqrt(p)))
+        y[j, rho] += np.sign(rho - j) * np.sqrt(1 - p)
+        comb = p * p_sigma + (1 - p) * p_tau
+        return SegmentVerdict("orthostochastic", BistochasticMatrix(comb),
+                              p_sigma @ y)
+    mid = 0.5 * p_sigma + 0.5 * p_tau
     return SegmentVerdict("not_qustochastic", BistochasticMatrix(mid), None)
 
 

@@ -46,13 +46,8 @@ ENTRY_FLOOR = -1e-12
 
 # min over signs of |sum_k s_k sqrt(b_ki b_kj)| for a row or column pair in Sigma_n
 SIGMA_MIN = 1e-9
-# |inner product| and | squared norm - 1 | of the columns of a signed sqrt(B)
+# |inner product| of two rows of a signed sqrt(B)
 BRUTE_GRAM = 1e-8
-
-# -- the n = 3 orthostochastic equation ----------------------------------------
-
-# |(1-x-y-z-w+xw+yz)^2 - 4xyzw| of an orthostochastic 3x3 matrix
-ORTHO3_RESIDUAL = 1e-9
 
 # -- singular values and the classify cross-check ------------------------------
 

@@ -38,3 +38,15 @@ def random_quaternion(rng):
             v /= np.linalg.norm(v)
         return Quaternion(*v)
     return draw
+
+
+@pytest.fixture
+def small_entry_witness():
+    """A 3x3 bistochastic matrix with entries near 2e-4 that is not
+    orthostochastic, while its n = 3 quartic residual is only 3e-11."""
+    w = 1.98798764e-04
+    return np.array([
+        [1.0 - w, w, 0.0],
+        [0.0, 1.0 - 0.972075668 - w, 0.972075668 + w],
+        [w, 0.972075668, 1.0 - 0.972075668 - w],
+    ])

@@ -58,10 +58,6 @@ def test_02_rank9_witness():
 
 
 def test_03_oracle_equivalence_n3():
-    # the absolute residual tolerance of the n = 3 equation can diverge from
-    # the sign-search oracle on matrices with near-zero entries (see the
-    # degenerate-scale regression test in test_stochastic); the seed below
-    # was verified to keep all 10^4 samples clear of that band
     start = time.time()
     rng = np.random.default_rng(101)
     disagreements = 0

@@ -113,6 +113,16 @@ class TestStochasticCommands:
         assert main(["ortho3", files["j3.rmat"]]) == 1
         assert main(["ortho3", files["o3.rmat"]]) == 0
 
+    def test_ortho3_small_entries(self, small_entry_witness, tmp_path, capsys):
+        # the quartic's residual is printed; the verdict is Sigma_3's
+        path = tmp_path / "small.rmat"
+        path.write_text(write_rmat(small_entry_witness))
+        assert main(["ortho3", str(path)]) == 1
+        assert main(["--format", "csv", "ortho3", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "orthostochastic=false residual=3.037996e-11\n"
+            "orthostochastic,residual\nfalse,3.0379958405429876e-11\n")
+
     def test_sigma_and_poly(self, workdir, capsys, tmp_path):
         _, files = workdir
         assert main(["sigma", files["j3.rmat"]]) == 1
@@ -639,6 +649,7 @@ def golden_files(workdir):
         "conf4sq.rmat": write_rmat(CONF4 ** 2),
         "h2.mub": write_mubset(complete_mub_h2()),
         "three_param.mub": write_mubset(three_param_h3(*cube)),
+        "one_param_s.mub": write_mubset(MAXIMALITY_SETS["one_param_s"]()),
         "mixed.mub": write_rmat(np.eye(3)) + "\n" + write_qmat(fourier(3)),
     }
     for n in (20, 24):
@@ -651,7 +662,7 @@ def golden_files(workdir):
 
 
 # (argv with {file} names, exit code, stdout or the SHA-256 of a stdout
-# longer than 100 characters, stderr)
+# longer than 100 characters, stderr with {file} names)
 GOLDEN = [
     ('verify-hadamard {f3.qmat}', 0, 'hadamard=true\n', ''),
     ('verify-hadamard {i2.qmat}', 1, 'hadamard=false\n', ''),
@@ -787,6 +798,8 @@ GOLDEN = [
     ('mub h3-one-param --s 0.8660254037844386 --t 0',
      0, '6437d96dacffb34791bcbd7e84eb4293f528fb94fd21279d4f38b97273f21e85',
      ''),
+    ('mub extend {one_param_s.mub} --grid 2 --conj-grid 2',
+     1, 'extension=none grid=2 conj_grid=2\n', ''),
     ('mub h3-three-param --a (-0.5,0.8660254037844386,0,0) '
      '--b (-0.5,0,0.8660254037844386,0) --c (-0.5,-0.8660254037844386,0,0)',
      0, '37f5b92ab379d1ba35256a6de6c66d92e0bdf4ae5eb98758597cd2466dc55616',
@@ -821,6 +834,8 @@ GOLDEN = [
      1, 'orthostochastic,residual\nfalse,-0.037037037037037063\n', ''),
     ('--format csv ortho3 {o3.rmat}',
      0, 'orthostochastic,residual\ntrue,0\n', ''),
+    ('ortho3 {f3_unit.qmat}',
+     3, '', 'error: {f3_unit.qmat}: expected an rmat file\n'),
     ('bruteforce-ortho {j3.rmat}', 1, 'pattern=none\n', ''),
     ('bruteforce-ortho {o3.rmat}', 0, 'rmat 3 3\n1 1 1\n1 1 1\n1 1 1\n', ''),
     ('bruteforce-ortho {conf4sq.rmat}',
@@ -838,4 +853,6 @@ def test_golden_output(line, code, out, err, golden_files, capsys):
     got = captured.out
     if len(got) > 100:
         got = hashlib.sha256(got.encode()).hexdigest()
+    for name, path in golden_files.items():
+        err = err.replace("{" + name + "}", path)
     assert (got, captured.err) == (out, err)

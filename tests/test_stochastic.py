@@ -19,6 +19,7 @@ from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                permutation_array, phi, segment_block_analysis,
                                sigma_pair_minima, sigma_poly_4,
                                van_der_waerden)
+from qstoch.tol import BRUTE_GRAM
 
 HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
                       [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -423,19 +424,38 @@ class TestBruteforce:
             b = birkhoff_sample(3, rng)
             assert ortho3_test(b) == (orthostochastic_bruteforce(b) is not None)
 
-    def test_known_degenerate_scale_divergence(self):
+    def test_known_degenerate_scale_divergence(self, small_entry_witness):
         # with near-zero entries the quartic residual collapses even though
-        # the matrix is far from orthostochastic; the absolute 1e-9
-        # threshold of ortho3_test then disagrees with the sign search.
-        # This pins the behavior of both sides on a concrete witness.
-        w = 1.98798764e-04
-        b = BistochasticMatrix(np.array([
-            [1.0 - w, w, 0.0],
-            [0.0, 1.0 - 0.972075668 - w, 0.972075668 + w],
-            [w, 0.972075668, 1.0 - 0.972075668 - w],
-        ]))
-        assert abs(ortho3_residual(b)) < 1e-9  # degenerate false positive
+        # the matrix is far from orthostochastic; an absolute threshold on
+        # it took the matrix as a member.  ortho3_test decides by the signed
+        # sums of sqrt(b_k1 b_k2), which scale with the entries.
+        b = BistochasticMatrix(small_entry_witness)
+        assert abs(ortho3_residual(b)) < 1e-9  # the quartic cannot tell
         assert orthostochastic_bruteforce(b) is None  # truly not a member
+        assert not ortho3_test(b)
+
+
+class TestVerdictSymmetries:
+    """Row and column permutations and the transpose map O(n) images to
+    O(n) images, so no membership verdict may move under them."""
+
+    @staticmethod
+    def verdicts(b):
+        pattern = orthostochastic_bruteforce(b)
+        if pattern is not None:
+            x = pattern.signs * np.sqrt(b.mat)
+            assert np.max(np.abs(x.T @ x - np.eye(b.n))) <= BRUTE_GRAM
+        ortho3 = ortho3_test(b) if b.n == 3 else None
+        return ortho3, sigma_pair_minima(b).feasible, pattern is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(bistochastic_inputs(1, 5).filter(lambda b: b.n <= 5),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_row_column_permutations_and_transpose(self, b, seed, transpose):
+        rng = np.random.default_rng(seed)
+        moved = b.mat[rng.permutation(b.n)][:, rng.permutation(b.n)]
+        moved = BistochasticMatrix(moved.T if transpose else moved)
+        assert self.verdicts(moved) == self.verdicts(b)
 
 
 class TestSegments:
@@ -445,6 +465,21 @@ class TestSegments:
         x = v.witness
         assert np.max(np.abs(x.T @ x - np.eye(3))) < 1e-12
         assert np.max(np.abs(x * x - v.matrix.mat)) < 1e-12
+
+    def test_witness_has_one_rotation_block_per_transposition(self):
+        # rho = sigma^-1 tau swaps 0 <-> 3 and 2 <-> 4 and fixes 1 and 5;
+        # each swap (a, b), a < b, gets [[sp, sq], [-sq, sp]] on rows and
+        # columns a, b
+        sigma = (2, 0, 1, 5, 3, 4)
+        rho = (3, 1, 4, 0, 2, 5)
+        tau = tuple(sigma[r] for r in rho)
+        sp, sq = math.sqrt(0.3), math.sqrt(0.7)
+        y = np.diag([sp, 1.0, sp, sp, sp, 1.0])
+        y[0, 3] = y[2, 4] = sq
+        y[3, 0] = y[4, 2] = -sq
+        v = segment_block_analysis(sigma, tau, 0.3)
+        assert v.verdict == "orthostochastic"
+        assert np.array_equal(v.witness, permutation_array(sigma) @ y)
 
     def test_three_cycle_not_qustochastic(self):
         v = segment_block_analysis((0, 1, 2), (1, 2, 0), 0.5)

@@ -84,10 +84,22 @@ def _identifiers(tree: ast.AST):
             yield node.name, node.lineno
 
 
+def _retired_uses(retired: set[str]) -> list[str]:
+    """Where a retired constant is still named in src, scripts or tests,
+    or still defined in tol."""
+    root = SRC.parents[1]
+    found = [f"tol.py: {name}" for name in sorted(retired & set(vars(tol)))]
+    for folder in ("src", "scripts", "tests"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for name, line in _identifiers(ast.parse(path.read_text())):
+                if name in retired:
+                    found.append(f"{path.relative_to(root)}:{line}: {name}")
+    return found
+
+
 def test_group_membership_has_one_owner():
     """Only QMatrix.is_symplectic compares unitary_defect() with tol.GROUP,
     so every verb draws the group boundary in the same place."""
-    root = SRC.parents[1]
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "qmatrix.py":
@@ -97,23 +109,16 @@ def test_group_membership_has_one_owner():
                     getattr(node.func, "attr", None),
                     getattr(node.func, "id", None)):
                 found.append(f"{path.name}:{node.lineno}: unitary_defect()")
-    retired = {"GROUP_POINT", "GROUP_BASIS"}
-    for folder in ("src", "scripts", "tests"):
-        for path in sorted((root / folder).rglob("*.py")):
-            for name, line in _identifiers(ast.parse(path.read_text())):
-                if name in retired:
-                    found.append(f"{path.relative_to(root)}:{line}: {name}")
-    assert found == []
-    assert not retired & set(vars(tol))
+    assert found + _retired_uses({"GROUP_POINT", "GROUP_BASIS"}) == []
 
 
 def test_verdict_thresholds_have_one_owner():
-    """SIGMA_MIN and ORTHO3_RESIDUAL are read only in qstoch.stochastic
-    (SigmaMinima.feasible, ortho3_test), and NEAR_MISS only in qstoch.mub
-    (is_maximality_evidence); the CLI and the scripts take those verdicts."""
-    owners = {"SIGMA_MIN": "stochastic.py", "ORTHO3_RESIDUAL": "stochastic.py",
-              "NEAR_MISS": "mub.py"}
-    found = []
+    """SIGMA_MIN is read only in qstoch.stochastic (SigmaMinima.feasible,
+    which ortho3_test returns at n = 3), and NEAR_MISS only in qstoch.mub
+    (is_maximality_evidence); the CLI and the scripts take those verdicts.
+    ORTHO3_RESIDUAL, the quartic's absolute threshold, is retired."""
+    owners = {"SIGMA_MIN": "stochastic.py", "NEAR_MISS": "mub.py"}
+    found = _retired_uses({"ORTHO3_RESIDUAL"})
     paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "scripts").glob("*.py"))
     for path in paths:
         if path.name == "tol.py":
