@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (InternalInconsistency, NotInGroup, WrongScalarField,
                      WrongSize)
 from .qmatrix import QMatrix, haar_orthogonal, qmul
-from .quaternion import aligning_conjugator
 from .tol import (GROUP, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO, SCALAR_FIELD,
                   ZERO_BAND, ZERO_ENTRY)
 
@@ -156,70 +155,43 @@ def _zero_mask_stable(norms: np.ndarray):
     return norms <= ZERO_ENTRY
 
 
-def _pattern_verdict_r(p: QMatrix) -> str:
-    n = p.rows
-    mask = _zero_mask_stable(p.norms())
-    if mask is None:
-        return "undecided"
-    if p.splits():
-        return "singular"
-    # n = 4 has a second type: zeros form a transversal, everything else nonzero
-    if (n == 4 and mask.sum() == 4 and (mask.sum(axis=0) == 1).all()
-            and (mask.sum(axis=1) == 1).all()):
-        return "singular"
-    return "regular"
+def _pattern_verdict(map_kind: str, p: QMatrix) -> str:
+    """The zero-pattern verdict, or "undecided" near a tolerance.
 
-
-def _reduce_to_complex(p: QMatrix) -> QMatrix | None:
-    """Equivalence reduction of a 3x3 symplectic matrix to a complex one.
-
-    Dephase (after permuting a zero-free frame into place), then conjugate
-    entrywise so the (2,2) entry is complex; the unitarity relations force
-    every entry into span{1, entry(2,2)}.  Returns None when no zero-free
-    frame exists or the reduction leaves j/k residue (borderline input).
+    A point whose zero mask splits it is degenerate for every map.  For
+    map r, n = 4 has a second type: zeros form a transversal, everything
+    else nonzero.  For maps c and h at n = 3, the entries of the matrix
+    dephased at its largest zero-free frame all lie in one complex plane,
+    span{1, u}: it is critical when they are real and regular when one is
+    far from real.  The component of a pure part off the largest one's
+    direction u guards against borderline input.
     """
     norms = p.norms()
-    best = None
-    best_min = 0.0
-    for pr in _PERMS3:
-        for pc in _PERMS3:
-            frame_min = min(norms[pr, pc[0]].min(), norms[pr[0], pc].min())
-            if frame_min > best_min:
-                best_min = frame_min
-                best = (pr, pc)
-    if best is None or best_min <= ZERO_ENTRY * ZERO_BAND:
-        return None
-    pr, pc = best
-    permuted = QMatrix(p.data[np.ix_(pr, pc)])
-    dephased = permuted.dephase()
-    q22 = dephased.entry(1, 1)
-    x = aligning_conjugator(q22)
-    reduced = dephased.entrywise_conjugate(x)
-    if reduced.max_jk() > REDUCED_ZERO:
-        return None
-    return reduced
-
-
-_PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _pattern_verdict_ch(p: QMatrix) -> str:
-    n = p.rows
-    if _zero_mask_stable(p.norms()) is None:
+    zero = _zero_mask_stable(norms)
+    if zero is None:
         return "undecided"
     if p.splits():
-        return "critical"
-    if n == 2:
+        return "singular" if map_kind == "r" else "critical"
+    if map_kind == "r":
+        transversal = (zero.sum() == 4 and (zero.sum(axis=0) == 1).all()
+                       and (zero.sum(axis=1) == 1).all())
+        return "singular" if p.rows == 4 and transversal else "regular"
+    if p.rows == 2:
         return "regular"
-    reduced = _reduce_to_complex(p)
-    if reduced is None:
+    frame = np.minimum.outer(norms.min(axis=1), norms.min(axis=0))
+    r, c = np.unravel_index(np.argmax(frame), frame.shape)
+    if frame[r, c] <= ZERO_ENTRY * ZERO_BAND:
         return "undecided"
-    imag = reduced.max_imag()
+    dephased = QMatrix(np.roll(p.data, (-r, -c), axis=(0, 1))).dephase()
+    pure = dephased.data[..., 1:].reshape(-1, 3)
+    sizes = np.linalg.norm(pure, axis=1)
+    imag = sizes.max()
     if imag <= REDUCED_ZERO:
         return "critical"
-    if imag >= REDUCED_REGULAR:
-        return "regular"
-    return "undecided"
+    u = pure[np.argmax(sizes)] / imag
+    if np.linalg.norm(pure - np.outer(pure @ u, u), axis=1).max() > REDUCED_ZERO:
+        return "undecided"
+    return "regular" if imag >= REDUCED_REGULAR else "undecided"
 
 
 def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
@@ -244,10 +216,7 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
         verdict = "critical" if rank < cdim else "regular"
     pattern = None
     if cross_check and n in _PATTERN_SIZES[map_kind]:
-        if map_kind == "r":
-            pattern = _pattern_verdict_r(p)
-        else:
-            pattern = _pattern_verdict_ch(p)
+        pattern = _pattern_verdict(map_kind, p)
         if pattern != "undecided" and pattern != verdict:
             raise InternalInconsistency(
                 f"rank verdict {verdict} but pattern verdict {pattern} "

@@ -9,10 +9,6 @@ class NonFinite(QStochError):
     """A matrix entry is NaN or infinite."""
 
 
-class NonUnitConjugator(QStochError):
-    """Conjugation was requested by a quaternion that is not unit norm."""
-
-
 class DimensionMismatch(QStochError):
     """Matrix shapes are incompatible for the requested operation."""
 

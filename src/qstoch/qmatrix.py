@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonFinite, NonUnitConjugator,
-                     ZeroInFrame)
+from .errors import DimensionMismatch, NonFinite, ZeroInFrame
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
 from .tol import APPROX_EQ, GROUP, HADAMARD, ZERO_ENTRY
 
@@ -315,13 +314,6 @@ class QMatrix:
             raise ZeroInFrame("zero entry in the first row")
         right = qconj(row) / col_norms[:, None]
         return QMatrix(qmul(m1, right[None, :, :]))
-
-    def entrywise_conjugate(self, x: Quaternion) -> "QMatrix":
-        """Conjugate every entry by the unit quaternion x."""
-        if not x.is_unit():
-            raise NonUnitConjugator(f"|x| = {x.norm()!r} is not 1")
-        xa = x.as_array()
-        return QMatrix(qmul(qmul(xa, self.data), qconj(xa)))
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"

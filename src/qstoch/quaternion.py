@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tol import APPROX_EQ, DEGENERATE, PURE_PART, UNIT_NORM
+from .tol import APPROX_EQ, UNIT_NORM
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class Quaternion:
 
     # -- structure --------------------------------------------------------
 
-    def pure_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
     def is_unit(self) -> bool:
         """|q| = 1 within UNIT_NORM; False when a coordinate is NaN."""
         return abs(self.norm() - 1.0) <= UNIT_NORM
@@ -120,31 +117,6 @@ def _coerce(value) -> Quaternion:
     if isinstance(value, (int, float)):
         return Quaternion(float(value), 0.0, 0.0, 0.0)
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
-
-
-def aligning_conjugator(q: Quaternion) -> Quaternion:
-    """Unit x such that x*q*x^-1 is complex with nonnegative i coordinate.
-
-    Conjugation rotates the pure part; x implements the rotation taking the
-    pure direction of q onto the i axis.  Returns 1 when q is already real.
-    """
-    q = _coerce(q)
-    pn = q.pure_norm()
-    if pn <= PURE_PART:
-        return ONE
-    vx, vy, vz = q.x / pn, q.y / pn, q.z / pn
-    c = vx  # cosine of the angle to the i axis
-    if c >= 1.0 - DEGENERATE:
-        return ONE
-    if c <= -1.0 + DEGENERATE:
-        return J  # half turn about j sends i to -i
-    # axis = v x i, normalized; rotation by angle arccos(c) about it maps v to i.
-    ax, ay, az = 0.0, vz, -vy
-    an = math.hypot(ay, az)
-    ay, az = ay / an, az / an
-    half_c = math.sqrt((1.0 + c) / 2.0)
-    half_s = math.sqrt((1.0 - c) / 2.0)
-    return Quaternion(half_c, half_s * ax, half_s * ay, half_s * az)
 
 
 def parse_quaternion(text: str) -> Quaternion:

@@ -17,8 +17,6 @@ HADAMARD = 1e-9
 
 # | |q| - 1 | of a quaternion taken as unit
 UNIT_NORM = 1e-9
-# |Im q| of a quaternion taken as real
-PURE_PART = 1e-9
 # max entry norm of the difference of two quaternions or matrices taken as equal
 APPROX_EQ = 1e-9
 # largest coordinate outside R (map r) or C (map c) of a Jacobian point
@@ -55,9 +53,10 @@ BRUTE_GRAM = 1e-8
 RANK_RATIO = 1e-10
 # ratio: entry norms in (ZERO_ENTRY, ZERO_BAND * ZERO_ENTRY) leave the pattern undecided
 ZERO_BAND = 1000.0
-# coordinate of a reduced 3x3 matrix taken as 0: j, k after reduction, i if critical
+# pure-part norm of an entry of the dephased 3x3 matrix taken as 0, and the
+# component of a pure part off the plane of the largest one taken as 0
 REDUCED_ZERO = 1e-7
-# largest i coordinate of a reduced 3x3 matrix at or above which it is regular
+# largest pure-part norm of an entry of the dephased 3x3 matrix; regular at or above
 REDUCED_REGULAR = 1e-4
 
 # -- 3x3 family parameters -----------------------------------------------------
@@ -82,5 +81,5 @@ GRADIENT_FLOOR = 1e-30
 # ratio: fall of the descent objective over mub._STALL_WINDOW accepted steps,
 # over its value, at or below which a restart stops
 DESCENT_STALL = 1e-6
-# distance of a cosine from +-1, or size of the phi amplitude, taken as degenerate
+# size of the phi amplitude taken as degenerate
 DEGENERATE = 1e-15

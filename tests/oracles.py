@@ -13,8 +13,11 @@ column pattern completion in qstoch.stochastic replaced, the one-
 searchsorted-per-pair lookup that the sigma search's blocked merge
 replaced, the Jacobian
 built one dense generator at a time that the two-row columns in
-qstoch.differential replaced, and the depth-first split test and the
-n = 2 zero-mask rules that QMatrix.splits replaced.  They share no code
+qstoch.differential replaced, the depth-first split test and the
+n = 2 zero-mask rules that QMatrix.splits replaced, and the n = 3 pattern
+rule of maps c and h that searched its corner over every permutation pair
+and rotated the dephased matrix's (2,2) entry onto the i axis before it
+read i coordinates, which the dephased pure-part rule replaced.  They share no code
 path with those beyond the elementwise Hamilton product (plus the
 generic-family generator feeding the sweep, and the chi conversions and
 the start-point QR of the descent), so a defect cannot hide in a
@@ -30,20 +33,23 @@ The Birkhoff and zero-diagonal O(4) samplers and the power-series matrix
 exponential used by the tests live here too.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from qstoch import hadamard, mub
-from qstoch.differential import _generator_table
+from qstoch.differential import _generator_table, _zero_mask_stable
 from qstoch.errors import BadParams, DegenerateP, WrongSize
 from qstoch.mub import cross_gram_deviation
-from qstoch.qmatrix import (_chi, _chi_from_rows, _from_chi_rows, _qr_retract,
-                            qconj, qmat_eye, qmat_mul, qmul, qnormsq)
-from qstoch.quaternion import ONE, Quaternion
+from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
+                            _qr_retract, qconj, qmat_eye, qmat_mul, qmul,
+                            qnormsq)
+from qstoch.quaternion import J, ONE, Quaternion
 from qstoch.stochastic import (BistochasticMatrix, SignPattern, _index_bits,
                                permutation_array)
-from qstoch.tol import DESCENT_STALL
+from qstoch.tol import (DESCENT_STALL, REDUCED_REGULAR, REDUCED_ZERO,
+                        ZERO_BAND, ZERO_ENTRY)
 
 
 def hamilton_qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -628,6 +634,87 @@ def pattern_verdict_2x2(zero: np.ndarray, degenerate: str) -> str:
     if (zero[0, 1] and zero[1, 0]) or (zero[0, 0] and zero[1, 1]):
         return degenerate
     return "regular"
+
+
+# ---------------------------------------------------------------------------
+# the n = 3 pattern rule through an aligning rotation
+# ---------------------------------------------------------------------------
+
+
+def aligning_conjugator(q: Quaternion) -> Quaternion:
+    """Unit x such that x*q*x^-1 is complex with nonnegative i coordinate.
+
+    Conjugation rotates the pure part; x implements the rotation taking the
+    pure direction of q onto the i axis.  Returns 1 when q is already real
+    (pure part at most 1e-9), and a half turn about j when it points along
+    -i (cosine within 1e-15 of -1).
+    """
+    pn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    if pn <= 1e-9:
+        return ONE
+    vx, vy, vz = q.x / pn, q.y / pn, q.z / pn
+    c = vx  # cosine of the angle to the i axis
+    if c >= 1.0 - 1e-15:
+        return ONE
+    if c <= -1.0 + 1e-15:
+        return J  # half turn about j sends i to -i
+    # axis = v x i, normalized; rotation by angle arccos(c) about it maps v to i.
+    ax, ay, az = 0.0, vz, -vy
+    an = math.hypot(ay, az)
+    ay, az = ay / an, az / an
+    half_c = math.sqrt((1.0 + c) / 2.0)
+    half_s = math.sqrt((1.0 - c) / 2.0)
+    return Quaternion(half_c, half_s * ax, half_s * ay, half_s * az)
+
+
+def entrywise_conjugate(m: QMatrix, x: Quaternion) -> QMatrix:
+    """x m_ij x^-1 for every entry, x a unit quaternion."""
+    xa = x.as_array()
+    return QMatrix(qmul(qmul(xa, m.data), qconj(xa)))
+
+
+def pattern_verdict_3x3_aligned(p: QMatrix) -> str:
+    """The n = 3 pattern verdict of maps c and h by reduction to a complex
+    matrix.
+
+    Take the zero-free frame (row pr[0], column pc[0]) with the largest
+    smallest entry norm, the first in the order of the permutation pairs,
+    and dephase there; conjugate every entry by the rotation taking the
+    (2,2) entry's pure direction onto i, after which the unitarity relations
+    leave every entry in the complex plane.  The matrix is critical when
+    its largest non-real coordinate is at most REDUCED_ZERO and regular at
+    REDUCED_REGULAR or above; a j or k coordinate above REDUCED_ZERO after
+    the reduction, a frame in the zero band, or an entry norm in the band
+    leave it undecided.
+    """
+    norms = p.norms()
+    if _zero_mask_stable(norms) is None:
+        return "undecided"
+    if p.splits():
+        return "critical"
+    perms = list(itertools.permutations(range(3)))
+    best = None
+    best_min = 0.0
+    for pr in perms:
+        for pc in perms:
+            frame_min = min(norms[pr, pc[0]].min(), norms[pr[0], pc].min())
+            if frame_min > best_min:
+                best_min = frame_min
+                best = (pr, pc)
+    if best is None or best_min <= ZERO_ENTRY * ZERO_BAND:
+        return "undecided"
+    pr, pc = best
+    dephased = QMatrix(p.data[np.ix_(pr, pc)]).dephase()
+    reduced = entrywise_conjugate(dephased,
+                                  aligning_conjugator(dephased.entry(1, 1)))
+    if reduced.max_jk() > REDUCED_ZERO:
+        return "undecided"
+    imag = reduced.max_imag()
+    if imag <= REDUCED_ZERO:
+        return "critical"
+    if imag >= REDUCED_REGULAR:
+        return "regular"
+    return "undecided"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from qstoch.hadamard import verify_family3
 from qstoch.mub import (MubSet, complete_mub_h2, one_param_h3, three_param_h3,
                         write_mubset)
 from oracles import birkhoff_sample
-from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, identity,
+from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, identity, qmul,
                             random_symplectic, read_matrix_text, write_qmat,
                             write_rmat)
 from qstoch.quaternion import Quaternion
@@ -638,6 +638,11 @@ def golden_files(workdir):
     tmp_path, files = workdir
     cube = [Quaternion(-0.5, R32 * math.cos(a), R32 * math.sin(a), 0.0)
             for a in (2 * math.pi * k / 3 for k in range(3))]
+    # a zero-free O(3) point, and the same point with unit-quaternion row
+    # phases: critical for maps c and h without splitting
+    o3 = haar_orthogonal(3, np.random.default_rng(3))
+    phases = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.6, 0.0, 0.8],
+                       [0.5, 0.5, 0.5, 0.5]])
     texts = {
         "sp2.qmat": write_qmat(random_symplectic(2, seed=1)),
         "sp4.qmat": write_qmat(random_symplectic(4, seed=4)),
@@ -647,6 +652,9 @@ def golden_files(workdir):
         "anti2.rmat": write_rmat(_rotation(math.pi / 2)),
         "conf4.rmat": write_rmat(CONF4),
         "conf4sq.rmat": write_rmat(CONF4 ** 2),
+        "haar_o3.rmat": write_rmat(o3),
+        "tw3.qmat": write_qmat(QMatrix(qmul(phases[:, None, :],
+                                            QMatrix.from_real(o3).data))),
         "h2.mub": write_mubset(complete_mub_h2()),
         "three_param.mub": write_mubset(three_param_h3(*cube)),
         "one_param_s.mub": write_mubset(MAXIMALITY_SETS["one_param_s"]()),
@@ -716,6 +724,14 @@ GOLDEN = [
      0, 'map=c n=3 rank=4 dim_domain=9 dim_codomain=4 verdict=regular\n', ''),
     ('classify --map c --file {i3.qmat}',
      0, 'map=c n=3 rank=0 dim_domain=9 dim_codomain=4 verdict=critical\n', ''),
+    ('classify --map c --file {haar_o3.rmat}',
+     0, 'map=c n=3 rank=3 dim_domain=9 dim_codomain=4 verdict=critical\n', ''),
+    ('classify --map h --file {haar_o3.rmat}',
+     0, 'map=h n=3 rank=3 dim_domain=21 dim_codomain=4 verdict=critical\n',
+     ''),
+    ('classify --map h --file {tw3.qmat}',
+     0, 'map=h n=3 rank=3 dim_domain=21 dim_codomain=4 verdict=critical\n',
+     ''),
     ('classify --map h --file {sp2.qmat}',
      0, 'map=h n=2 rank=1 dim_domain=10 dim_codomain=1 verdict=regular\n', ''),
     ('classify --map h --file {anti2.rmat}',

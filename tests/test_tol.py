@@ -116,9 +116,11 @@ def test_verdict_thresholds_have_one_owner():
     """SIGMA_MIN is read only in qstoch.stochastic (SigmaMinima.feasible,
     which ortho3_test returns at n = 3), and NEAR_MISS only in qstoch.mub
     (is_maximality_evidence); the CLI and the scripts take those verdicts.
-    ORTHO3_RESIDUAL, the quartic's absolute threshold, is retired."""
+    ORTHO3_RESIDUAL, the quartic's absolute threshold, and PURE_PART, the
+    pure-part norm below which the n = 3 pattern rule's aligning rotation
+    took an entry as real, are retired."""
     owners = {"SIGMA_MIN": "stochastic.py", "NEAR_MISS": "mub.py"}
-    found = _retired_uses({"ORTHO3_RESIDUAL"})
+    found = _retired_uses({"ORTHO3_RESIDUAL", "PURE_PART"})
     paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "scripts").glob("*.py"))
     for path in paths:
         if path.name == "tol.py":
