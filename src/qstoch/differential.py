@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (InternalInconsistency, NotInGroup, WrongScalarField,
                      WrongSize)
 from .qmatrix import QMatrix, haar_orthogonal, qmul
-from .tol import (GROUP, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO, SCALAR_FIELD,
-                  ZERO_BAND, ZERO_ENTRY)
+from .tol import (GROUP, RANK_FLOOR, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO,
+                  SCALAR_FIELD, ZERO_BAND, ZERO_ENTRY)
 
 MAP_KINDS = ("r", "c", "h")
 
@@ -104,13 +104,12 @@ def jacobian(map_kind: str, p: QMatrix) -> np.ndarray:
 
 def rank_report(m: np.ndarray, tol: float = RANK_RATIO):
     """(rank, singular values, gap ratio).  The rank counts singular values
-    above tol * sigma_max * max(rows, cols).  The gap ratio compares the last
-    retained singular value with the first discarded one, or with the
-    threshold when the matrix has full numerical rank."""
+    above max(tol * sigma_max * max(rows, cols), RANK_FLOOR), so rounding
+    noise adds no rank.  The gap ratio compares the last retained singular
+    value with the first discarded one, or with the threshold when the
+    matrix has full numerical rank."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s, np.inf
-    threshold = tol * s[0] * max(m.shape)
+    threshold = max(tol * s.max(initial=0.0) * max(m.shape), RANK_FLOOR)
     rank = int(np.sum(s > threshold))
     if rank == 0:
         return 0, s, np.inf

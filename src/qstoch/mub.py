@@ -38,19 +38,6 @@ def cross_gram_deviation(a: np.ndarray, b: np.ndarray):
     return np.max(np.abs(qnormsq(gram) - 1.0 / n), axis=(-2, -1))
 
 
-def is_unbiased(a: QMatrix, b: QMatrix) -> bool:
-    """True when all squared cross inner products equal 1/n within UNBIASED.
-
-    Equivalently sqrt(n) A*B is a Hadamard matrix.
-    """
-    if a.rows != b.rows or a.cols != b.cols or not a.is_square:
-        raise DimensionMismatch("unbiasedness needs two square matrices of one size")
-    for m in (a, b):
-        if not m.is_symplectic():
-            raise NotSymplectic(f"bases must be symplectic within {GROUP}")
-    return cross_gram_deviation(a.data, b.data) <= UNBIASED
-
-
 def check_bases(n: int, bases) -> float:
     """Raise unless bases are at most 2n+1 pairwise unbiased n x n
     symplectic matrices; return the worst cross_gram_deviation of a pair
@@ -82,9 +69,6 @@ class MubSet:
 
     def __post_init__(self):
         check_bases(self.n, self.bases)
-
-    def __len__(self) -> int:
-        return len(self.bases)
 
 
 # ---------------------------------------------------------------------------

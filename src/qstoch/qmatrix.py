@@ -212,36 +212,8 @@ class QMatrix:
 
     # -- algebra -------------------------------------------------------------
 
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return QMatrix(qmat_mul(self.data, other.data))
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.data + other.data)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.data - other.data)
-
-    def __mul__(self, s: float) -> "QMatrix":
-        return QMatrix(self.data * float(s))
-
-    __rmul__ = __mul__
-
     def __truediv__(self, s: float) -> "QMatrix":
         return QMatrix(self.data / float(s))
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.data)
-
-    def adjoint(self) -> "QMatrix":
-        """Conjugate transpose."""
-        return QMatrix(qmat_adjoint(self.data))
-
-    def conjugate(self) -> "QMatrix":
-        """Entrywise quaternion conjugate (no transpose)."""
-        return QMatrix(qconj(self.data))
 
     def approx_eq(self, other: "QMatrix", tol: float = APPROX_EQ) -> bool:
         if self.data.shape != other.data.shape:
@@ -326,14 +298,6 @@ class QMatrix:
 
 def identity(n: int) -> QMatrix:
     return QMatrix(qmat_eye(n))
-
-
-def diag(entries: list[Quaternion]) -> QMatrix:
-    n = len(entries)
-    out = np.zeros((n, n, 4))
-    for i, q in enumerate(entries):
-        out[i, i] = q.as_array()
-    return QMatrix(out)
 
 
 def fourier(n: int) -> QMatrix:

@@ -1,6 +1,6 @@
 """Floating-point quaternion scalar type and the small algebra built on it.
 
-Coordinates follow the 1, i, j, k basis.  All comparisons are tolerant;
+Coordinates follow the 1, i, j, k basis.  The unit check is tolerant;
 there is no exact-rational mode.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tol import APPROX_EQ, UNIT_NORM
+from .tol import UNIT_NORM
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,13 @@ class Quaternion:
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other: "Quaternion | float") -> "Quaternion":
-        other = _coerce(other)
+    def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "Quaternion | float") -> "Quaternion":
-        other = _coerce(other)
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w - other.w, self.x - other.x,
                           self.y - other.y, self.z - other.z)
-
-    def __rsub__(self, other: "Quaternion | float") -> "Quaternion":
-        return _coerce(other) - self
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
@@ -56,15 +49,8 @@ class Quaternion:
             a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
         )
 
-    def __rmul__(self, other: float) -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other: "Quaternion | float") -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * other.inverse()
+    def __truediv__(self, other: float) -> "Quaternion":
+        return self * (1.0 / other)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -75,10 +61,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
     def normalized(self) -> "Quaternion":
         return self / self.norm()
 
@@ -87,9 +69,6 @@ class Quaternion:
     def is_unit(self) -> bool:
         """|q| = 1 within UNIT_NORM; False when a coordinate is NaN."""
         return abs(self.norm() - 1.0) <= UNIT_NORM
-
-    def approx_eq(self, other: "Quaternion", tol: float = APPROX_EQ) -> bool:
-        return (self - _coerce(other)).norm() <= tol
 
     # -- conversions ------------------------------------------------------
 
@@ -101,22 +80,11 @@ class Quaternion:
         w, x, y, z = (float(v) for v in arr)
         return Quaternion(w, x, y, z)
 
-    def __str__(self) -> str:
-        return format_quaternion(self)
-
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def _coerce(value) -> Quaternion:
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(float(value), 0.0, 0.0, 0.0)
-    raise TypeError(f"cannot interpret {value!r} as a quaternion")
 
 
 def parse_quaternion(text: str) -> Quaternion:

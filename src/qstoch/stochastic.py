@@ -8,7 +8,6 @@ orthogonal start keeps in O(3).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +179,12 @@ def _nearest_cross_gaps(neg_left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SigmaMinima(Sequence):
+class SigmaMinima:
     """The pair minima of sigma_pair_minima as one read-only float64 array,
     column pairs first, then row pairs, each in np.triu_indices order.
 
-    It reads as the sequence of rows (kind, i, j, min_abs), with kind "col"
-    or "row" and 0-based indices; the rows are built when read.
+    Iterating it yields the rows (kind, i, j, min_abs), with kind "col" or
+    "row" and 0-based indices, built when read; len counts them.
     """
 
     n: int
@@ -202,19 +201,11 @@ class SigmaMinima(Sequence):
     def __len__(self) -> int:
         return len(self.minima)
 
-    def __getitem__(self, index):
-        return list(self)[index]
-
     def __iter__(self):
         pairs = np.transpose(np.triu_indices(self.n, 1)).tolist()
         kinds = ["col"] * len(pairs) + ["row"] * len(pairs)
         return ((kind, i, j, m) for kind, (i, j), m
                 in zip(kinds, pairs * 2, self.minima.tolist()))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, SigmaMinima)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def sigma_pair_minima(b: BistochasticMatrix) -> SigmaMinima:

@@ -8,7 +8,7 @@ the comment says otherwise.
 # -- group membership: the max entry norm of M*M - I ---------------------------
 
 # M*M - I of a point of O(n), U(n) or Sp(n); is_symplectic's default, read by
-# phi, jacobian, is_unbiased, MubSet and verify-symplectic
+# phi, jacobian, MubSet and verify-symplectic
 GROUP = 1e-9
 # | |m_ij| - 1 | and the max entry norm of M*M - nI of a Hadamard matrix
 HADAMARD = 1e-9
@@ -17,7 +17,7 @@ HADAMARD = 1e-9
 
 # | |q| - 1 | of a quaternion taken as unit
 UNIT_NORM = 1e-9
-# max entry norm of the difference of two quaternions or matrices taken as equal
+# max entry norm of the difference of two matrices taken as equal
 APPROX_EQ = 1e-9
 # largest coordinate outside R (map r) or C (map c) of a Jacobian point
 SCALAR_FIELD = 1e-9
@@ -51,6 +51,9 @@ BRUTE_GRAM = 1e-8
 
 # singular value over sigma_max * max(rows, cols) below which it adds no rank
 RANK_RATIO = 1e-10
+# singular value at or below which it adds no rank; a Jacobian entry is at
+# most 1 in absolute value at a group point, so this is in entry units
+RANK_FLOOR = 1e-12
 # ratio: entry norms in (ZERO_ENTRY, ZERO_BAND * ZERO_ENTRY) leave the pattern undecided
 ZERO_BAND = 1000.0
 # pure-part norm of an entry of the dephased 3x3 matrix taken as 0, and the

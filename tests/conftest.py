@@ -25,6 +25,14 @@ def ref_mul(q: Quaternion, r: Quaternion) -> Quaternion:
     return Quaternion(*(left_mult_matrix(q) @ r.as_array()))
 
 
+def qdiag(entries) -> np.ndarray:
+    """The (n, n, 4) array of the diagonal matrix with these quaternions."""
+    n = len(entries)
+    out = np.zeros((n, n, 4))
+    out[np.arange(n), np.arange(n)] = [q.as_array() for q in entries]
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240819)

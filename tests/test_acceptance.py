@@ -186,7 +186,7 @@ def test_07_complete_h2_mub():
         for i in range(5) for j in range(i + 1, 5))
     frame = mub.operator_frame_orthogonality(s)
     elapsed = time.time() - start
-    ok = len(s) == 5 and worst_pair <= 1e-12 and frame <= 1e-12
+    ok = len(s.bases) == 5 and worst_pair <= 1e-12 and frame <= 1e-12
     _report(7, "complete five-basis set in H^2", ok, elapsed,
             f"worst_pair={worst_pair:.2e} frame={frame:.2e}")
 

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import qdiag
 from oracles import (generators_from_bases, jacobian_by_generators,
                      pattern_verdict_2x2, pattern_verdict_3x3_aligned, qexpm,
                      tangent_bases, tangent_generators,
@@ -327,18 +328,26 @@ class TestClassification:
     def test_equivalent_to_real_detected_through_disguise(self, rng):
         # twist a real orthogonal matrix by monomial moves and an entrywise
         # conjugation; the pattern check must still see it as critical
-        from qstoch.qmatrix import diag, qconj
+        from qstoch.qmatrix import qconj, qmat_mul
         from qstoch.stochastic import permutation_array
         x = QMatrix.from_real(haar_orthogonal(3, rng))
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        moved = (QMatrix.from_real(permutation_array((1, 2, 0)))
-                 @ diag([Quaternion(0, 0, 1, 0), Quaternion(1, 0, 0, 0),
-                         Quaternion(0, 0.6, 0.8, 0)]) @ x)
-        twisted = QMatrix(qmul(qmul(q, moved.data), qconj(q)))
+        moved = qmat_mul(qmat_mul(
+            QMatrix.from_real(permutation_array((1, 2, 0))).data,
+            qdiag([Quaternion(0, 0, 1, 0), Quaternion(1, 0, 0, 0),
+                   Quaternion(0, 0.6, 0.8, 0)])), x.data)
+        twisted = QMatrix(qmul(qmul(q, moved), qconj(q)))
         res = classify_point("h", twisted)
         assert res.verdict == "critical"
         assert res.pattern_verdict == "critical"
+
+    def test_rank_and_pattern_disagreement_raises(self):
+        # a ratio of 0.5 leaves a zero-free O(3) point rank 0, so the rank
+        # verdict is singular while its zero pattern reads regular
+        p = QMatrix.from_real(haar_orthogonal(3, np.random.default_rng(3)))
+        with pytest.raises(InternalInconsistency, match="pattern verdict regular"):
+            classify_point("r", p, tol=0.5)
 
     def test_generic_symplectic_regular_for_h(self):
         w = random_symplectic(3, seed=21)
@@ -452,12 +461,7 @@ class TestClassifySymmetries:
     def test_monomial_moves_keep_the_verdict(self, mk, n, kind, seed):
         """The verdict, rank and pattern verdict of classify_point do not
         move under P -> D1 Pi1 P Pi2 D2, for permutations Pi and unit
-        diagonals D in the map's field, on Haar and split points.
-
-        Split 2x2 points of map h are left out: they are monomial, and
-        quaternion phases leave rounding noise in their zero Jacobian,
-        which the next test pins."""
-        assume(not (mk == "h" and n == 2 and kind == "split"))
+        diagonals D in the map's field, on Haar and split points."""
         rng = np.random.default_rng(seed)
         p = _point(mk, kind, n, rng)
         moved = p.data[np.ix_(rng.permutation(n), rng.permutation(n))]
@@ -469,17 +473,15 @@ class TestClassifySymmetries:
             (a.verdict, a.rank, a.pattern_verdict)
 
     def test_phased_monomial_meets_the_rank_noise_defect(self):
-        """A known defect, pinned as it is: the Jacobian of map h at the
-        identity times unit quaternion row phases is zero, but its rounding
-        noise (1.4e-17) has full rank under rank_report's threshold, which is
-        relative to the largest singular value, so classify raises where the
-        identity reads rank 0.  An absolute floor in rank_report makes this
-        test fail; then the property above takes the split 2x2 points of
-        map h back."""
+        """The Jacobian of map h at the identity times unit quaternion row
+        phases is zero up to rounding noise (1.4e-17).  A threshold relative
+        to the largest singular value gave that noise full rank, and classify
+        raised; RANK_FLOOR reads it as rank 0, as at the identity."""
         rng = np.random.default_rng(0)
         phases = _unit_phases("h", 2, rng)
         p = QMatrix(qmul(phases[:, None, :], identity(2).data))
-        assert classify_point("h", identity(2)).rank == 0
         assert 0.0 < np.max(np.abs(jacobian("h", p))) < 1e-16
-        with pytest.raises(InternalInconsistency):
-            classify_point("h", p)
+        got = classify_point("h", p)
+        assert (got.rank, got.verdict, got.pattern_verdict) == \
+            (0, "critical", "critical")
+        assert classify_point("h", identity(2)).rank == 0

@@ -94,7 +94,7 @@ class TestGeneric4:
             ahat = Quaternion(a.w, a.x, 0, 0)
             one_plus = ONE + ahat
             closed = -(one_plus * one_plus) / one_plus.norm_sq()
-            assert m.entry(1, 2).approx_eq(closed, 1e-12)
+            assert (m.entry(1, 2) - closed).norm() <= 1e-12
 
     def test_members_are_hadamard_with_unit_closing_column(self, rng):
         for _ in range(60):
@@ -278,7 +278,7 @@ class TestGeneric3:
             assert b.norm() == pytest.approx(1.0, abs=1e-9)
             assert verify_family3(m, "generic", 1e-7)
             a_read, _, zeta = read_family3(m)
-            assert a_read.approx_eq(a, 1e-12)
+            assert (a_read - a).norm() <= 1e-12
             assert zeta.x ** 2 + zeta.y ** 2 == pytest.approx(0.75, abs=1e-9)
 
     def test_branches_pick_different_roots(self, rng):

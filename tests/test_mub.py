@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from conftest import qdiag
 from oracles import descend_qr, descent_objective
 
 from qstoch import mub
 from qstoch.errors import (BadParams, DimensionMismatch, NotNormalized,
                            NotSymplectic, TooManyBases, WrongSize)
-from qstoch.mub import (MubSet, complete_mub_h2, cross_gram_deviation,
-                        direct_maximality_search, extend_search, is_unbiased,
-                        one_param_h3, operator_frame_orthogonality,
-                        read_mubset_matrices, three_param_h3, write_mubset)
+from qstoch.mub import (MubSet, check_bases, complete_mub_h2,
+                        cross_gram_deviation, direct_maximality_search,
+                        extend_search, one_param_h3,
+                        operator_frame_orthogonality, read_mubset_matrices,
+                        three_param_h3, write_mubset)
 from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
-                            _qr_retract, diag, fourier, gram_schmidt_columns,
-                            identity, qconj, qmul, random_quaternion_array,
-                            random_symplectic, write_qmat)
+                            _qr_retract, fourier, gram_schmidt_columns,
+                            identity, qconj, qmat_adjoint, qmat_mul, qmul,
+                            random_quaternion_array, random_symplectic,
+                            write_qmat)
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import ONE, Quaternion
 from qstoch.stochastic import permutation_array
@@ -33,39 +36,46 @@ def h_basis(q: Quaternion) -> QMatrix:
 
 
 class TestIsUnbiased:
+    """Unbiasedness as cross_gram_deviation measures it and check_bases
+    decides it."""
+
     def test_examples(self):
-        assert is_unbiased(identity(2), h_basis(ONE))
-        assert is_unbiased(identity(3), fourier(3))
-        assert not is_unbiased(identity(2), identity(2))
+        assert cross_gram_deviation(identity(2).data, h_basis(ONE).data) <= 1e-9
+        assert check_bases(3, (identity(3), fourier(3))) <= 1e-9
+        assert cross_gram_deviation(identity(2).data, identity(2).data) > 1e-9
+        with pytest.raises(BadParams):
+            check_bases(2, (identity(2), identity(2)))
 
     def test_rejects_mismatched(self):
         with pytest.raises(DimensionMismatch):
-            is_unbiased(identity(2), identity(3))
+            check_bases(2, (identity(2), identity(3)))
 
     def test_rejects_non_symplectic(self):
         with pytest.raises(NotSymplectic):
-            is_unbiased(identity(2), QMatrix.from_real(np.ones((2, 2))))
+            check_bases(2, (identity(2), QMatrix.from_real(np.ones((2, 2)))))
 
     def test_rejects_what_mubset_rejects(self):
-        # unitary defect 2.4e-9, cross deviation to F_3 8.0e-10: one group
-        # threshold decides for is_unbiased and MubSet alike
-        a = (1 + 1.2e-9) * identity(3)
+        # unitary defect 2.4e-9, cross deviation to F_3 8.0e-10: the group
+        # threshold, not the unbiasedness one, rejects the pair
+        a = QMatrix((1 + 1.2e-9) * identity(3).data)
+        assert cross_gram_deviation(a.data, fourier(3).data) <= 1e-9
         with pytest.raises(NotSymplectic):
-            is_unbiased(a, fourier(3))
+            check_bases(3, (a, fourier(3)))
         with pytest.raises(NotSymplectic):
             MubSet(3, (a, fourier(3)))
 
     def test_equivalent_to_hadamard_criterion(self, rng):
         a = random_symplectic(3, seed=31)
         b = random_symplectic(3, seed=32)
-        gram = math.sqrt(3) * (a.adjoint() @ b)
-        assert is_unbiased(a, b) == gram.is_hadamard(3 * 1e-9)
+        gram = QMatrix(math.sqrt(3) * qmat_mul(qmat_adjoint(a.data), b.data))
+        assert (cross_gram_deviation(a.data, b.data) <= 1e-9) \
+            == gram.is_hadamard(3 * 1e-9)
 
 
 class TestCompleteH2:
     def test_size_and_pairs(self):
         s = complete_mub_h2()
-        assert len(s) == 5 == 2 * s.n + 1
+        assert len(s.bases) == 5 == 2 * s.n + 1
         for i in range(5):
             for j in range(i + 1, 5):
                 dev = cross_gram_deviation(s.bases[i].data, s.bases[j].data)
@@ -90,13 +100,13 @@ class TestCompleteH2:
 class TestH3Families:
     def test_one_param_complex_point(self):
         s = one_param_h3(R32, 0.0)
-        assert len(s) == 4
+        assert len(s.bases) == 4
         for b in s.bases:
             assert b.max_jk() < 1e-15  # the complex member of the family
 
     def test_one_param_quaternionic_point(self):
         s = one_param_h3(0.0, R32)
-        assert len(s) == 4
+        assert len(s.bases) == 4
         assert s.bases[2].max_jk() > 0.1
 
     def test_one_param_rejects_off_circle(self):
@@ -106,12 +116,12 @@ class TestH3Families:
     def test_three_param_matches_one_param_at_diagonal(self):
         z = cube_root(1.3)
         s3 = three_param_h3(z, z, z)
-        assert len(s3) == 4
+        assert len(s3.bases) == 4
 
     def test_three_param_at_complex_roots(self):
         omega = cube_root(0.0)
         s = three_param_h3(omega, omega * omega, omega)
-        assert len(s) == 4
+        assert len(s.bases) == 4
 
     def test_three_param_cross_pair_norm(self, rng):
         # the (second column, second column) cross pair has squared norm 3
@@ -154,8 +164,9 @@ class TestUnbiasednessInvariance:
         b = random_symplectic(3, seed=42)
         base = cross_gram_deviation(a.data, b.data)
         phases = [Quaternion(*v).normalized() for v in rng.standard_normal((3, 4))]
-        mono = QMatrix.from_real(permutation_array((2, 0, 1))) @ diag(phases)
-        assert cross_gram_deviation(a.data, (b @ mono).data) == \
+        mono = qmat_mul(QMatrix.from_real(permutation_array((2, 0, 1))).data,
+                        qdiag(phases))
+        assert cross_gram_deviation(a.data, qmat_mul(b.data, mono)) == \
             pytest.approx(base, abs=1e-12)
 
     def test_simultaneous_left_invariance(self, rng):
@@ -163,7 +174,8 @@ class TestUnbiasednessInvariance:
         b = random_symplectic(3, seed=44)
         u = random_symplectic(3, seed=45)
         base = cross_gram_deviation(a.data, b.data)
-        assert cross_gram_deviation((u @ a).data, (u @ b).data) == \
+        assert cross_gram_deviation(qmat_mul(u.data, a.data),
+                                    qmat_mul(u.data, b.data)) == \
             pytest.approx(base, abs=1e-10)
 
     def test_entrywise_conjugation_invariance(self, rng):
@@ -382,9 +394,8 @@ class TestSearches:
         s = MubSet(3, (identity(3), fourier(3)))
         c = extend_search(s, grid=8, conj_grid=4)
         assert c is not None
-        assert c.is_symplectic(1e-9)
-        assert is_unbiased(c, identity(3))
-        assert is_unbiased(c, fourier(3))
+        # raises unless c is symplectic and unbiased to both bases
+        assert check_bases(3, (identity(3), fourier(3), c)) <= 1e-9
 
     def test_extend_requires_normalized_prefix(self):
         s = MubSet(3, (fourier(3), identity(3)))
