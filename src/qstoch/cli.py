@@ -27,10 +27,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_bistochastic(path: str) -> BistochasticMatrix:
     kind, value = load_matrix(path)
     if kind == "qmat":
@@ -143,8 +139,8 @@ def _require(args, *names) -> list[str]:
     values = [getattr(args, n) for n in names]
     missing = [n for n, v in zip(names, values) if v is None]
     if missing:
-        raise _UsageError("construct " + args.kind + " requires "
-                          + " ".join(f"--{n}" for n in missing))
+        raise ValueError("construct " + args.kind + " requires "
+                         + " ".join(f"--{n}" for n in missing))
     return values
 
 
@@ -370,7 +366,7 @@ def main(argv=None) -> int:
     except QStochError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

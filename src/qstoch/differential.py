@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InternalInconsistency, NotInGroup, WrongScalarField,
-                     WrongSize)
+from .errors import QStochError
 from .qmatrix import QMatrix, haar_orthogonal, qmul
 from .tol import (GROUP, RANK_FLOOR, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO,
                   SCALAR_FIELD, ZERO_BAND, ZERO_ENTRY)
@@ -45,7 +44,7 @@ def _generator_table(map_kind: str, n: int) -> np.ndarray:
     blocks u C^{i,j} = (u, i<=j, +1), each lexicographic.
     """
     if n < 2:
-        raise WrongSize("n must be >= 2")
+        raise QStochError("n must be >= 2")
     rows = [(0, i, j, -1) for i, j in zip(*np.triu_indices(n, 1))]
     rows += [(u, i, j, 1) for u in _UNIT_AXES[map_kind]
              for i, j in zip(*np.triu_indices(n))]
@@ -69,13 +68,13 @@ def b_coordinates(m: np.ndarray) -> np.ndarray:
 
 def _check_point(map_kind: str, p: QMatrix) -> None:
     if map_kind not in MAP_KINDS:
-        raise WrongSize(f"unknown map kind {map_kind!r}")
+        raise QStochError(f"unknown map kind {map_kind!r}")
     if map_kind == "r" and p.max_imag() > SCALAR_FIELD:
-        raise WrongScalarField("map r needs a real matrix")
+        raise QStochError("map r needs a real matrix")
     if map_kind == "c" and p.max_jk() > SCALAR_FIELD:
-        raise WrongScalarField("map c needs a complex matrix")
+        raise QStochError("map c needs a complex matrix")
     if not p.is_symplectic():
-        raise NotInGroup(f"point is not in the group within {GROUP}")
+        raise QStochError(f"point is not in the group within {GROUP}")
 
 
 def _real_dot(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -133,7 +132,6 @@ class ClassifyResult:
     rank: int
     domain_dim: int
     codomain_dim: int
-    sv_gap_ratio: float
     pattern_verdict: str | None
 
     def report_line(self) -> str:
@@ -202,11 +200,10 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
     against (n-1)^2 for maps c and h, the Jacobian's columns and rows.  With
     cross_check, when the pattern machinery supports the size (n <= 4 for r,
     n <= 3 for c and h) and does not report "undecided", a disagreement with
-    the rank verdict raises InternalInconsistency; other sizes skip the
-    check.
+    the rank verdict raises QStochError; other sizes skip the check.
     """
     jac = jacobian(map_kind, p)
-    rank, _, gap = rank_report(jac, tol)
+    rank = rank_report(jac, tol)[0]
     n = p.rows
     cdim, ddim = jac.shape
     if map_kind == "r":
@@ -217,11 +214,10 @@ def classify_point(map_kind: str, p: QMatrix, tol: float = RANK_RATIO,
     if cross_check and n in _PATTERN_SIZES[map_kind]:
         pattern = _pattern_verdict(map_kind, p)
         if pattern != "undecided" and pattern != verdict:
-            raise InternalInconsistency(
+            raise QStochError(
                 f"rank verdict {verdict} but pattern verdict {pattern} "
                 f"(map {map_kind}, n={n})")
-    return ClassifyResult(map_kind, n, verdict, rank, ddim, cdim, gap,
-                          pattern)
+    return ClassifyResult(map_kind, n, verdict, rank, ddim, cdim, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DegenerateP, NoRealSolution, WrongSize
+from .errors import DegenerateP, NoRealSolution, QStochError
 from .qmatrix import QMatrix, qconj, qmul
 from .quaternion import I as QI
 from .quaternion import ONE, Quaternion
@@ -53,11 +53,11 @@ class Special4Params:
 
     def __post_init__(self):
         if not self.a.is_unit() or not self.b.is_unit():
-            raise BadParams("a and b must be unit quaternions")
+            raise QStochError("a and b must be unit quaternions")
         if self.a.y != 0.0 or self.a.z != 0.0:
-            raise BadParams("a must lie in span{1,i}")
+            raise QStochError("a must lie in span{1,i}")
         if self.b.x != 0.0 or self.b.z != 0.0:
-            raise BadParams("b must lie in span{1,j}")
+            raise QStochError("b must lie in span{1,j}")
 
 
 def special4(params: Special4Params) -> QMatrix:
@@ -84,13 +84,13 @@ class Generic4Params:
 
     def __post_init__(self):
         if not self.a.is_unit() or not self.x.is_unit():
-            raise BadParams("a and x must be unit quaternions")
+            raise QStochError("a and x must be unit quaternions")
         if self.a.z != 0.0:
-            raise BadParams("a must lie in span{1,i,j}")
+            raise QStochError("a must lie in span{1,i,j}")
         if self.x.w != 0.0 or self.x.z != 0.0:
-            raise BadParams("x must be pure in span{i,j}")
+            raise QStochError("x must be pure in span{i,j}")
         if (ONE + self.a).norm() <= A_POLE:
-            raise BadParams("a = -1 is a pole of the family")
+            raise QStochError("a = -1 is a pole of the family")
 
 
 def generic4(params: Generic4Params) -> QMatrix:
@@ -125,9 +125,9 @@ def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
     the whole circle or p vanishes at the root (one of the special families
     covers that stratum).  This is the one-row case of generic3_arr."""
     if not a.is_unit():
-        raise BadParams("a must be a unit quaternion")
+        raise QStochError("a must be a unit quaternion")
     if branch not in ("+", "-"):
-        raise BadParams("branch must be '+' or '-'")
+        raise QStochError("branch must be '+' or '-'")
     arr = a.as_array()[None, :]
     thetas, valid = phi_circle_roots_arr(arr)
     if not valid.any():
@@ -175,7 +175,7 @@ def _ellipse_solution(b0: np.ndarray, bw: np.ndarray, psi: np.ndarray,
 def _signs(variants: np.ndarray, bits: int) -> np.ndarray:
     """(bits, N) array of signs: bit k of a variant set means -1."""
     if np.any((variants < 0) | (variants >= 1 << bits)):
-        raise BadParams(f"variant must be in [0, {1 << bits})")
+        raise QStochError(f"variant must be in [0, {1 << bits})")
     return 1.0 - 2.0 * ((variants >> np.arange(bits)[:, None]) & 1)
 
 
@@ -193,11 +193,11 @@ def special3_arr(family_id: str, params, variants):
     not family members.
     """
     if family_id not in _SPECIAL:
-        raise BadParams(f"unknown special family {family_id!r}")
+        raise QStochError(f"unknown special family {family_id!r}")
     names, bits = _SPECIAL[family_id]
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != len(names):
-        raise BadParams(f"{family_id} takes ({', '.join(names)})")
+        raise QStochError(f"{family_id} takes ({', '.join(names)})")
     signs = _signs(np.asarray(variants), bits)
     ok = np.ones(params.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,7 +283,7 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
 def read_family3(m: QMatrix) -> tuple[Quaternion, Quaternion, Quaternion]:
     """(a, b, zeta) read from the frame: a = M21, b = M31, zeta = conj(a) M22."""
     if m.rows != 3 or m.cols != 3:
-        raise WrongSize("family frames are 3x3")
+        raise QStochError("family frames are 3x3")
     a = m.entry(1, 0)
     b = m.entry(2, 0)
     zeta = a.conjugate() * m.entry(1, 1)
@@ -295,7 +295,7 @@ def verify_family3(m: QMatrix, family_id: str,
     """Check the defining constraints of the named family on the parameters
     read off the matrix."""
     if family_id not in FAMILY_IDS:
-        raise BadParams(f"unknown family {family_id!r}")
+        raise QStochError(f"unknown family {family_id!r}")
     a, b, zeta = read_family3(m)
     s, t = zeta.x, zeta.y
     checks = [
@@ -489,7 +489,7 @@ def special_family_rows(family_id: str, resolution: int) -> np.ndarray:
     as (N,3,4) rows (a, b, zeta) ordered by (variant, first parameter,
     second parameter).  Infeasible sign combinations are skipped."""
     if family_id not in _SPECIAL:
-        raise BadParams(f"unknown special family {family_id!r}")
+        raise QStochError(f"unknown special family {family_id!r}")
     names, bits = _SPECIAL[family_id]
     res = int(resolution)
     # a1 spans (-1/2, 1), where s5 has real members; every other axis is an angle

@@ -19,8 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import hadamard
-from .errors import (BadParams, DimensionMismatch, NotNormalized,
-                     NotSymplectic, TooManyBases, WrongSize)
+from .errors import QStochError
 from .qmatrix import (QMatrix, _chi, _from_chi_rows, _odd_rows, _qr_retract,
                       fourier, gram_schmidt_columns, identity, qconj,
                       qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
@@ -43,18 +42,18 @@ def check_bases(n: int, bases) -> float:
     symplectic matrices; return the worst cross_gram_deviation of a pair
     (0 for fewer than two bases)."""
     if len(bases) > 2 * n + 1:
-        raise TooManyBases(f"{len(bases)} bases exceed the bound {2 * n + 1}")
+        raise QStochError(f"{len(bases)} bases exceed the bound {2 * n + 1}")
     for b in bases:
         if b.rows != n or b.cols != n:
-            raise DimensionMismatch("all bases must be n x n")
+            raise QStochError("all bases must be n x n")
         if not b.is_symplectic():
-            raise NotSymplectic(f"basis fails the symplectic check at {GROUP}")
+            raise QStochError(f"basis fails the symplectic check at {GROUP}")
     worst = 0.0
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             dev = cross_gram_deviation(bases[i].data, bases[j].data)
             if dev > UNBIASED:
-                raise BadParams(
+                raise QStochError(
                     f"bases {i} and {j} are not unbiased (deviation {dev:.2e})")
             worst = max(worst, dev)
     return worst
@@ -93,14 +92,14 @@ def complete_mub_h2() -> MubSet:
 def _check_cube_root(q: Quaternion, name: str) -> None:
     if (not q.is_unit() or abs(q.w + 0.5) > ZETA_CIRCLE
             or abs(q.z) > ZETA_CIRCLE):
-        raise BadParams(f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
+        raise QStochError(f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
 
 
 def one_param_h3(s: float, t: float) -> MubSet:
     """Four bases {I, F_3, A(s,t)/sqrt3, A(-s,-t)/sqrt3} with A the circulant
     with diagonal zeta = -1/2 + s i + t j."""
     if abs(s * s + t * t - 0.75) > ZETA_CIRCLE:
-        raise BadParams("(s,t) must lie on the circle s^2 + t^2 = 3/4")
+        raise QStochError("(s,t) must lie on the circle s^2 + t^2 = 3/4")
     root3 = math.sqrt(3.0)
 
     def circ(sv: float, tv: float) -> QMatrix:
@@ -178,7 +177,7 @@ def read_mubset_matrices(text: str) -> list[QMatrix]:
     bases = [read_qmatrix_text(blk) for blk in re.split(r"\n\s*\n", text)
              if blk.strip()]
     if not bases:
-        raise BadParams("no matrices in mub set file")
+        raise QStochError("no matrices in mub set file")
     return bases
 
 
@@ -323,7 +322,7 @@ def direct_maximality_search(mubset: MubSet, restarts: int = 50,
     below 1e-8 exhibits an extension.
     """
     if restarts < 1:
-        raise WrongSize("restarts must be >= 1")
+        raise QStochError("restarts must be >= 1")
     targets = [b.data for b in mubset.bases]
     n = mubset.n
     best_viol = np.inf
@@ -443,14 +442,14 @@ def extend_search(mubset: MubSet, grid: int = 64, conj_grid: int = 32,
     exhausted, which is maximality evidence at this resolution only.
     """
     if grid < 1 or conj_grid < 1:
-        raise WrongSize("grid and conj_grid must be >= 1")
+        raise QStochError("grid and conj_grid must be >= 1")
     if mubset.n != 3:
-        raise NotNormalized("extension search is implemented for n = 3")
+        raise QStochError("extension search is implemented for n = 3")
     if len(mubset.bases) < 2:
-        raise NotNormalized("need at least the identity/Fourier prefix")
+        raise QStochError("need at least the identity/Fourier prefix")
     if not mubset.bases[0].approx_eq(identity(3)) \
             or not mubset.bases[1].approx_eq(fourier(3)):
-        raise NotNormalized("set must start with the identity and Fourier bases")
+        raise QStochError("set must start with the identity and Fourier bases")
     if state is None:
         state = SimpleNamespace(checked=0, near_misses=0)
     targets = [b.data for b in mubset.bases]

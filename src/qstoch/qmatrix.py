@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, ZeroInFrame
+from .errors import QStochError
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
 from .tol import APPROX_EQ, GROUP, HADAMARD, ZERO_ENTRY
 
@@ -146,10 +146,10 @@ class QMatrix:
     def __init__(self, data: np.ndarray):
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 3 or arr.shape[2] != 4 or 0 in arr.shape:
-            raise DimensionMismatch(
+            raise QStochError(
                 f"expected (rows, cols, 4) array with rows, cols >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
-            raise NonFinite("quaternion matrix has a NaN or infinite entry")
+            raise QStochError("quaternion matrix has a NaN or infinite entry")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -215,10 +215,10 @@ class QMatrix:
     def __truediv__(self, s: float) -> "QMatrix":
         return QMatrix(self.data / float(s))
 
-    def approx_eq(self, other: "QMatrix", tol: float = APPROX_EQ) -> bool:
+    def approx_eq(self, other: "QMatrix") -> bool:
         if self.data.shape != other.data.shape:
             return False
-        return float(np.max(qnorm(self.data - other.data))) <= tol
+        return float(np.max(qnorm(self.data - other.data))) <= APPROX_EQ
 
     # -- predicates ----------------------------------------------------------
 
@@ -253,7 +253,7 @@ class QMatrix:
         neighbourhoods until it stops changing.
         """
         if not self.is_square:
-            raise DimensionMismatch("splits is defined for square matrices")
+            raise QStochError("splits is defined for square matrices")
         adj = self.norms() > tol
         rows = np.arange(self.rows) == 0
         while True:
@@ -277,13 +277,13 @@ class QMatrix:
         col = self.data[:, 0, :]
         row_norms = qnorm(col)
         if np.min(row_norms) <= ZERO_ENTRY:
-            raise ZeroInFrame("zero entry in the first column")
+            raise QStochError("zero entry in the first column")
         left = qconj(col) / row_norms[:, None]
         m1 = qmul(left[:, None, :], self.data)
         row = m1[0, :, :]
         col_norms = qnorm(row)
         if np.min(col_norms) <= ZERO_ENTRY:
-            raise ZeroInFrame("zero entry in the first row")
+            raise QStochError("zero entry in the first row")
         right = qconj(row) / col_norms[:, None]
         return QMatrix(qmul(m1, right[None, :, :]))
 
@@ -303,7 +303,7 @@ def identity(n: int) -> QMatrix:
 def fourier(n: int) -> QMatrix:
     """Unitary Fourier matrix with entries w^{(i-1)(j-1)}/sqrt(n), w = e^{2 pi i/n}."""
     if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+        raise QStochError("n must be >= 1")
     idx = np.arange(n)
     angles = 2.0 * np.pi * np.outer(idx, idx) / n
     out = np.zeros((n, n, 4))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
+from .errors import QStochError
 from .mub import _descend
 from .qmatrix import QMatrix, haar_orthogonal, qmat_eye
 from .tol import BISTOCHASTIC_SUM, BRUTE_GRAM, ENTRY_FLOOR, GROUP, SIGMA_MIN
@@ -26,16 +26,16 @@ class BistochasticMatrix:
     def __init__(self, mat):
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-            raise NotBistochastic(
+            raise QStochError(
                 f"expected a square matrix with n >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise NotBistochastic("matrix has a NaN or infinite entry")
+            raise QStochError("matrix has a NaN or infinite entry")
         if np.min(arr) < ENTRY_FLOOR:
-            raise NotBistochastic(f"negative entry {np.min(arr)!r}")
+            raise QStochError(f"negative entry {np.min(arr)!r}")
         rows = np.abs(arr.sum(axis=1) - 1.0)
         cols = np.abs(arr.sum(axis=0) - 1.0)
         if max(rows.max(), cols.max()) > BISTOCHASTIC_SUM:
-            raise NotBistochastic("row/column sums deviate from 1 beyond tolerance")
+            raise QStochError("row/column sums deviate from 1 beyond tolerance")
         # entries in [ENTRY_FLOOR, 0) are zeros up to rounding; their square
         # roots would be NaN
         arr = np.maximum(arr, 0.0)
@@ -64,14 +64,14 @@ class SignPattern:
 def phi(m: QMatrix) -> BistochasticMatrix:
     """Entrywise squared norm of an orthogonal/unitary/symplectic matrix."""
     if not m.is_symplectic():
-        raise NotUnitary(f"input is not in the unitary group within {GROUP}")
+        raise QStochError(f"input is not in the unitary group within {GROUP}")
     return BistochasticMatrix(m.squared_norms())
 
 
 def van_der_waerden(n: int) -> BistochasticMatrix:
     """The constant 1/n matrix, barycenter of the Birkhoff polytope."""
     if n < 1:
-        raise WrongSize("n must be >= 1")
+        raise QStochError("n must be >= 1")
     return BistochasticMatrix(np.full((n, n), 1.0 / n))
 
 
@@ -88,7 +88,7 @@ def ortho3_residual(b: BistochasticMatrix) -> float:
     fourth power of the entries, so ortho3_test does not decide by it.
     """
     if b.n != 3:
-        raise WrongSize("ortho3 is defined for 3x3 matrices")
+        raise QStochError("ortho3 is defined for 3x3 matrices")
     x, y = b.mat[0, 0], b.mat[0, 1]
     z, w = b.mat[1, 0], b.mat[1, 1]
     return float((1 - x - y - z - w + x * w + y * z) ** 2 - 4 * x * y * z * w)
@@ -98,7 +98,7 @@ def ortho3_test(b: BistochasticMatrix) -> bool:
     """The Sigma_3 verdict, which is exact at n = 3: two orthogonal columns
     of a signed sqrt(B) fix the third up to sign."""
     if b.n != 3:
-        raise WrongSize("ortho3 is defined for 3x3 matrices")
+        raise QStochError("ortho3 is defined for 3x3 matrices")
     return sigma_pair_minima(b).feasible
 
 
@@ -119,7 +119,7 @@ def sigma_poly_4(b: BistochasticMatrix) -> list[float]:
     in the same order.  All residuals vanish on orthostochastic matrices.
     """
     if b.n != 4:
-        raise WrongSize("sigma_poly_4 is defined for 4x4 matrices")
+        raise QStochError("sigma_poly_4 is defined for 4x4 matrices")
     return [_pair_residual(t2) for t2 in _pair_products(b)]
 
 
@@ -221,7 +221,7 @@ def sigma_pair_minima(b: BistochasticMatrix) -> SigmaMinima:
     """
     n = b.n
     if n > _SIGMA_MAX_N:
-        raise TooLarge(f"sigma system enumeration capped at n = {_SIGMA_MAX_N}")
+        raise QStochError(f"sigma system enumeration capped at n = {_SIGMA_MAX_N}")
     t = np.sqrt(_pair_products(b))
     half = (n + 1) // 2
     width = (1 << (half - 1)) + (1 << (n - half))  # sums per pair
@@ -263,7 +263,7 @@ def orthostochastic_bruteforce(b: BistochasticMatrix):
     """
     n = b.n
     if n > _BRUTE_MAX_N:
-        raise TooLarge(f"pattern search capped at n = {_BRUTE_MAX_N}")
+        raise QStochError(f"pattern search capped at n = {_BRUTE_MAX_N}")
     root = np.sqrt(b.mat)
     flips = _index_bits(n - 1)
     signs = np.ones((1, n, n))  # (partial patterns, n, n)
@@ -311,7 +311,7 @@ def segment_block_analysis(sigma, tau, p: float) -> SegmentVerdict:
     p = 1/2).
     """
     if not (0.0 < p < 1.0):
-        raise WrongSize("p must lie strictly between 0 and 1")
+        raise QStochError("p must lie strictly between 0 and 1")
     p_sigma, p_tau = permutation_array(sigma), permutation_array(tau)
     rho = np.argsort(sigma)[np.asarray(tau)]
     j = np.arange(len(rho))
@@ -362,7 +362,7 @@ def distance_j3_report(restarts: int = 100, seed: int = 0) -> DistanceResult:
     accepted descent steps summed over them.
     """
     if restarts < 1:
-        raise WrongSize("restarts must be >= 1")
+        raise QStochError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
     best_f = np.inf
     best_r = None

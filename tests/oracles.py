@@ -40,7 +40,7 @@ import numpy as np
 
 from qstoch import hadamard, mub
 from qstoch.differential import _generator_table, _zero_mask_stable
-from qstoch.errors import BadParams, DegenerateP, WrongSize
+from qstoch.errors import DegenerateP, QStochError
 from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
                             _qr_retract, qconj, qmat_eye, qmat_mul, qmul,
@@ -377,9 +377,9 @@ def unbiased_system(a: Quaternion, s: float, t: float):
     as <1 + w^-i a z^j, 1 + w^i b z^-j> with b = e_m, plus the five signed
     determinants d_i of the augmented matrix (drop column i)."""
     if abs(a.norm() - 1.0) > 1e-9:
-        raise BadParams("a must be a unit quaternion")
+        raise QStochError("a must be a unit quaternion")
     if abs(s * s + t * t - 0.75) > 1e-9:
-        raise BadParams("(s, t) must satisfy s^2 + t^2 = 3/4")
+        raise QStochError("(s, t) must satisfy s^2 + t^2 = 3/4")
     zeta = Quaternion(-0.5, s, t, 0.0)
     abar = a.conjugate()
     b_mat = np.zeros((4, 4))
@@ -726,7 +726,7 @@ def tangent_bases(n: int):
     """Skew A^{i,j} (i<j), symmetric C^{i,j} (i<=j), and the B^{i,j} basis of
     the zero-row/column-sum space (i,j <= n-1), as real arrays."""
     if n < 2:
-        raise WrongSize("n must be >= 2")
+        raise QStochError("n must be >= 2")
     a_list = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -659,6 +659,16 @@ def golden_files(workdir):
         "three_param.mub": write_mubset(three_param_h3(*cube)),
         "one_param_s.mub": write_mubset(MAXIMALITY_SETS["one_param_s"]()),
         "mixed.mub": write_rmat(np.eye(3)) + "\n" + write_qmat(fourier(3)),
+        # inputs that fail a precondition
+        "j6.rmat": write_rmat(van_der_waerden(6).mat),
+        "j25.rmat": write_rmat(van_der_waerden(25).mat),
+        "one.rmat": "rmat 1 1\n1\n",
+        "rect.rmat": "rmat 2 3\n0.5 0.5 0\n0.5 0.5 0\n",
+        "rect.qmat": write_qmat(QMatrix(np.ones((2, 3, 4)))),
+        "zrow.qmat": write_qmat(QMatrix.from_real([[1.0, 0.0], [1.0, 1.0]])),
+        "sums.rmat": "rmat 2 2\n0.5 0.5\n0.5 0.6\n",
+        "neg.rmat": "rmat 2 2\n1.5 -0.5\n-0.5 1.5\n",
+        "empty.mub": "\n",
     }
     for n in (20, 24):
         for kind in ("ortho", "birkhoff"):
@@ -861,6 +871,89 @@ GOLDEN = [
     ('bruteforce-ortho {o3.rmat}', 0, 'rmat 3 3\n1 1 1\n1 1 1\n1 1 1\n', ''),
     ('bruteforce-ortho {conf4sq.rmat}',
      0, 'rmat 4 4\n1 1 1 1\n1 1 -1 1\n1 1 1 -1\n1 -1 1 1\n', ''),
+    # a failed precondition: the message each check gives on the command
+    # line, and exit 3 (exit 1 with reason= where mub check reports it)
+    ('sigma {j25.rmat}',
+     3, '', 'error: sigma system enumeration capped at n = 24\n'),
+    ('bruteforce-ortho {j6.rmat}',
+     3, '', 'error: pattern search capped at n = 5\n'),
+    ('construct generic4 --a (-1,0,0,0) --x (0,1,0,0)',
+     3, '', 'error: a = -1 is a pole of the family\n'),
+    ('jacobian --map r --file {u2.qmat}',
+     3, '', 'error: map r needs a real matrix\n'),
+    ('jacobian --map c --file {w3.qmat}',
+     3, '', 'error: map c needs a complex matrix\n'),
+    ('mub check {i3.qmat} {i3.qmat} {i3.qmat} {i3.qmat} {i3.qmat} {i3.qmat} '
+     '{i3.qmat} {i3.qmat}',
+     1, 'mub=false size=8 reason=8 bases exceed the bound 7\n', ''),
+    ('mub extend {h2.mub}',
+     3, '', 'error: extension search is implemented for n = 3\n'),
+    ('dephase {i2.qmat}',
+     3, '', 'error: zero entry in the first column\n'),
+    ('dephase {zrow.qmat}',
+     3, '', 'error: zero entry in the first row\n'),
+    ('mub h3-one-param --s 0 --t 0',
+     3, '', 'error: (s,t) must lie on the circle s^2 + t^2 = 3/4\n'),
+    ('mub h3-one-param --s nan --t 0',
+     3, '', 'error: quaternion matrix has a NaN or infinite entry\n'),
+    ('construct special3 --family s1 --params nan,1.2',
+     3, '', 'error: quaternion matrix has a NaN or infinite entry\n'),
+    ('sigma {sums.rmat}',
+     3, '', 'error: row/column sums deviate from 1 beyond tolerance\n'),
+    ('sigma {neg.rmat}',
+     3, '', 'error: negative entry np.float64(-0.5)\n'),
+    ('sigma {rect.rmat}',
+     3, '', 'error: expected a square matrix with n >= 1, got shape (2, 3)\n'),
+    ('construct special4 --a (1,1,0,0) --b (1,0,0,0)',
+     3, '', 'error: a and b must be unit quaternions\n'),
+    ('construct special4 --a (0.6,0,0.8,0) --b (0.6,0,0.8,0)',
+     3, '', 'error: a must lie in span{1,i}\n'),
+    ('construct special4 --a (0.6,0.8,0,0) --b (0.6,0.8,0,0)',
+     3, '', 'error: b must lie in span{1,j}\n'),
+    ('construct generic4 --a (2,0,0,0) --x (0,1,0,0)',
+     3, '', 'error: a and x must be unit quaternions\n'),
+    ('construct generic4 --a (0.6,0,0,0.8) --x (0,1,0,0)',
+     3, '', 'error: a must lie in span{1,i,j}\n'),
+    ('construct generic4 --a (1,0,0,0) --x (0,0,0,1)',
+     3, '', 'error: x must be pure in span{i,j}\n'),
+    ('construct generic3 --a (2,0,0,0)',
+     3, '', 'error: a must be a unit quaternion\n'),
+    ('construct generic3 --a (1,0,0,0)',
+     3, '', 'error: phi vanishes on the whole circle\n'),
+    ('construct generic3 --a (0.9999995000000417,0,0.0009999998333333417,0)',
+     3, '', 'error: p(a,s,t) vanishes at the selected root\n'),
+    ('ortho3 {j4.rmat}',
+     3, '', 'error: ortho3 is defined for 3x3 matrices\n'),
+    ('--format csv sigma --poly {j3.rmat}',
+     3, '', 'error: sigma_poly_4 is defined for 4x4 matrices\n'),
+    ('distance-j3 --restarts 0',
+     3, '', 'error: restarts must be >= 1\n'),
+    ('phi {f3.qmat}',
+     3, '', 'error: input is not in the unitary group within 1e-09\n'),
+    ('jacobian --map c --file {f3.qmat}',
+     3, '', 'error: point is not in the group within 1e-09\n'),
+    ('jacobian --map r --file {one.rmat}',
+     3, '', 'error: n must be >= 2\n'),
+    ('splits {rect.qmat}',
+     3, '', 'error: splits is defined for square matrices\n'),
+    ('mub check {i2.qmat} {i3.qmat}',
+     1, 'mub=false size=2 reason=all bases must be n x n\n', ''),
+    ('mub check {f3.qmat} {i3.qmat}',
+     1, 'mub=false size=2 reason=basis fails the symplectic check at 1e-09\n',
+     ''),
+    ('mub h3-three-param --a (1,0,0,0) --b (-0.5,0,0.8660254037844386,0) --c '
+     '(-0.5,-0.8660254037844386,0,0)',
+     3, '', 'error: a must be -1/2 + s i + t j with s^2 + t^2 = 3/4\n'),
+    ('mub check {empty.mub}',
+     3, '', 'error: no matrices in mub set file\n'),
+    ('mub maximality {one_param_s.mub} --restarts 0',
+     3, '', 'error: restarts must be >= 1\n'),
+    ('mub extend {one_param_s.mub} --grid 0',
+     3, '', 'error: grid and conj_grid must be >= 1\n'),
+    ('mub extend {i3.qmat}',
+     3, '', 'error: need at least the identity/Fourier prefix\n'),
+    ('mub extend {f3_unit.qmat} {i3.qmat}',
+     3, '', 'error: set must start with the identity and Fourier bases\n'),
 ]
 
 

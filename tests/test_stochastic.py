@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (birkhoff_sample, orthostochastic_bruteforce_tensor,
                      sigma_pair_minima_exhaustive,
                      sigma_pair_minima_searchsorted)
-from qstoch.errors import NotBistochastic, NotUnitary, TooLarge, WrongSize
+from qstoch.errors import QStochError
 from qstoch.qmatrix import QMatrix, fourier, haar_orthogonal, random_symplectic
 from qstoch.stochastic import (BistochasticMatrix, SignPattern,
                                distance_j3_report, hurwitz_radon_matrix,
@@ -35,11 +35,11 @@ def brute_sign_feasible(t, tol=1e-9):
 
 class TestBistochasticType:
     def test_rejects_bad_sums(self):
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="row/column sums deviate"):
             BistochasticMatrix(np.array([[0.5, 0.4], [0.5, 0.6]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="negative entry"):
             BistochasticMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))
 
     def test_entries_within_the_floor_become_zero(self):
@@ -51,20 +51,20 @@ class TestBistochasticType:
         with np.errstate(invalid="raise"):
             assert [m for *_, m in sigma_pair_minima(b)] == [0.0, 0.0]
             assert np.array_equal(orthostochastic_bruteforce(b).signs, np.ones((2, 2)))
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="negative entry"):
             BistochasticMatrix(np.array([[1.0 + 2e-12, -2e-12], [-2e-12, 1.0 + 2e-12]]))
 
     def test_rejects_empty(self):
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="expected a square matrix"):
             BistochasticMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="NaN or infinite entry"):
             BistochasticMatrix(np.full((3, 3), value))
         mat = np.full((3, 3), 1.0 / 3.0)
         mat[1, 2] = value
-        with pytest.raises(NotBistochastic):
+        with pytest.raises(QStochError, match="NaN or infinite entry"):
             BistochasticMatrix(mat)
 
 
@@ -83,7 +83,7 @@ class TestPhi:
         assert np.max(np.abs(phi(rot).mat - [[c * c, s * s], [s * s, c * c]])) < 1e-15
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(QStochError, match="not in the unitary group"):
             phi(QMatrix.from_real(np.ones((2, 2))))
 
     def test_symplectic_images_bistochastic(self):
@@ -100,7 +100,7 @@ class TestVanDerWaerden:
         van_der_waerden(7)  # constructor validates bistochasticity
 
     def test_rejects_zero(self):
-        with pytest.raises(WrongSize):
+        with pytest.raises(QStochError, match="n must be >= 1"):
             van_der_waerden(0)
 
 
@@ -123,7 +123,7 @@ class TestOrtho3:
         assert ortho3_test(BistochasticMatrix(np.eye(3)))
 
     def test_wrong_size(self):
-        with pytest.raises(WrongSize):
+        with pytest.raises(QStochError, match="defined for 3x3 matrices"):
             ortho3_test(van_der_waerden(4))
 
 
@@ -174,7 +174,7 @@ class TestSigmaCheck:
                 assert brute_sign_feasible(np.sqrt(vec)) == (m <= 1e-9)
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(QStochError, match="capped at n = 24"):
             sigma_pair_minima(van_der_waerden(25)).feasible
 
 
@@ -399,7 +399,7 @@ class TestBruteforce:
         assert np.all(pattern.signs == 1.0)
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(QStochError, match="capped at n = 5"):
             orthostochastic_bruteforce(van_der_waerden(6))
 
     def test_success_implies_sigma(self, rng):
@@ -490,7 +490,7 @@ class TestSegments:
         assert v.verdict == "orthostochastic"
 
     def test_rejects_endpoint_p(self):
-        with pytest.raises(WrongSize):
+        with pytest.raises(QStochError, match="strictly between 0 and 1"):
             segment_block_analysis((0, 1), (1, 0), 1.0)
 
 

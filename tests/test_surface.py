@@ -6,7 +6,8 @@ names is test-only surface, and so is a method that no program path calls.
 The first check finds the former by name; the second keeps the methods
 that were deleted for that reason from coming back, which a check by name
 cannot do where numpy or another class uses the same name (np.diag,
-Quaternion.conjugate, QMatrix.approx_eq).
+Quaternion.conjugate, QMatrix.approx_eq).  The same holds for exception
+classes: a subclass of QStochError exists only for a caller that catches it.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qstoch
-from qstoch import mub, qmatrix, quaternion
+from qstoch import errors, mub, qmatrix, quaternion
 from qstoch.mub import MubSet
 from qstoch.qmatrix import QMatrix
 from qstoch.quaternion import ONE, Quaternion
@@ -24,6 +25,7 @@ from qstoch.stochastic import SigmaMinima
 
 SRC = Path(qstoch.__file__).resolve().parent
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+TESTS = Path(__file__).resolve().parent
 
 # only the frozen bench/ and tests call these; moving them out of src/qstoch
 # is ROADMAP item 1
@@ -98,3 +100,62 @@ def test_deleted_functions_and_bases_stay_deleted():
     # Quaternion division takes a scalar only
     with pytest.raises(TypeError):
         ONE / ONE
+
+
+# the classes a failed precondition raised before the one QStochError
+DELETED_ERRORS = ["NonFinite", "DimensionMismatch", "ZeroInFrame",
+                  "NotUnitary", "NotBistochastic", "WrongSize", "TooLarge",
+                  "NotInGroup", "WrongScalarField", "InternalInconsistency",
+                  "BadParams", "NotSymplectic", "TooManyBases",
+                  "NotNormalized"]
+ERRORS = {"QStochError", "DegenerateP", "NoRealSolution"}
+# malformed text and immutable types; argparse turns ArgumentTypeError
+# into a usage error
+OTHER_RAISES = {"ValueError", "AttributeError", "ArgumentTypeError"}
+
+
+def _nodes(paths):
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _exception_names(node):
+    """The class names a raise or an except clause names."""
+    if node is None:
+        return set()
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_exception_names, node.elts))
+    return {node.attr if isinstance(node, ast.Attribute) else node.id}
+
+
+def test_errors_defines_the_three_classes():
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type)}
+    assert defined == ERRORS
+    assert [name for name in DELETED_ERRORS if hasattr(errors, name)] == []
+
+
+def test_src_raises_only_the_package_errors():
+    raised = set()
+    for node in _nodes(sorted(SRC.glob("*.py"))):
+        if isinstance(node, ast.Raise):
+            raised |= _exception_names(node.exc)
+    assert raised - ERRORS - OTHER_RAISES == set()
+
+
+def test_each_error_subclass_has_a_catcher():
+    """A subclass of QStochError is there for a caller that tells it apart
+    from a real error; an except clause that names it is that caller."""
+    paths = (sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+             + sorted(TESTS.glob("*.py")))
+    caught = set()
+    for node in _nodes(paths):
+        if isinstance(node, ast.ExceptHandler):
+            caught |= _exception_names(node.type)
+    subclasses = {name for name, value in vars(errors).items()
+                  if isinstance(value, type)
+                  and issubclass(value, errors.QStochError)
+                  and value is not errors.QStochError}
+    assert subclasses - caught == set()
