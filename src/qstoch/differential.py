@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QStochError
-from .qmatrix import QMatrix, haar_orthogonal, qmul
+from .qmatrix import QMatrix, haar_orthogonal
+from .quaternion import qmul
 from .tol import (GROUP, RANK_FLOOR, RANK_RATIO, REDUCED_REGULAR, REDUCED_ZERO,
                   SCALAR_FIELD, ZERO_BAND, ZERO_ENTRY)
 

@@ -23,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateP, NoRealSolution, QStochError
-from .qmatrix import QMatrix, qconj, qmul
-from .quaternion import I as QI
-from .quaternion import ONE, Quaternion
+from .qmatrix import QMatrix
+from .quaternion import I, ONE, Quaternion, qconj, qmul, qnorm
 from .tol import (A_POLE, DEGENERATE, FAMILY_RESIDUAL, P_FLOOR, ROOT_MERGE,
                   ZETA_CIRCLE)
 
 R32 = math.sqrt(3.0) / 2.0
-OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
+OMEGA = np.array([-0.5, R32, 0.0, 0.0])
+# 1, omega and omega^2 as (4,) rows
+OMEGA_POWERS = np.array([ONE.as_array(), OMEGA, qmul(OMEGA, OMEGA)])
 
 # per special family: its parameter names and the number of its sign bits
 _SPECIAL = {"s1": (("beta", "theta"), 0), "s2": (("theta", "psi"), 1),
@@ -62,17 +63,18 @@ class Special4Params:
 
 def special4(params: Special4Params) -> QMatrix:
     """Two-parameter 4x4 Hadamard family with a -1 entry."""
-    a, b = params.a, params.b
-    x = (ONE + a + b - a * b) * -0.5
-    z = (ONE + a - b + a * b) * -0.5
-    y = (ONE - a + b + a * b) * -0.5
-    w = (ONE - a - b - a * b) * -0.5
-    return QMatrix.from_entries([
-        [ONE, ONE, ONE, ONE],
-        [ONE, -ONE, b, -b],
-        [ONE, a, x, z],
-        [ONE, -a, y, w],
-    ])
+    one, a, b = ONE.as_array(), params.a.as_array(), params.b.as_array()
+    ab = qmul(a, b)
+    x = (one + a + b - ab) * -0.5
+    z = (one + a - b + ab) * -0.5
+    y = (one - a + b + ab) * -0.5
+    w = (one - a - b - ab) * -0.5
+    return QMatrix(np.array([
+        [one, one, one, one],
+        [one, -one, b, -b],
+        [one, a, x, z],
+        [one, -a, y, w],
+    ]))
 
 
 @dataclass(frozen=True)
@@ -89,32 +91,53 @@ class Generic4Params:
             raise QStochError("a must lie in span{1,i,j}")
         if self.x.w != 0.0 or self.x.z != 0.0:
             raise QStochError("x must be pure in span{i,j}")
-        if (ONE + self.a).norm() <= A_POLE:
+        # |1 + ahat| <= |1 + a|, and generic4 divides by both
+        if qnorm(_one_plus_ahat(self.a.as_array())) <= A_POLE:
             raise QStochError("a = -1 is a pole of the family")
+
+
+def _one_plus_ahat(a: np.ndarray) -> np.ndarray:
+    """1 + ahat, with ahat the span{1,i} part of a."""
+    return ONE.as_array() + np.array([a[0], a[1], 0.0, 0.0])
+
+
+def _normalized(q: np.ndarray) -> np.ndarray:
+    return q * (1.0 / qnorm(q))
 
 
 def generic4(params: Generic4Params) -> QMatrix:
     """Three-parameter 4x4 Hadamard family without real entries beyond the
     dephased frame.  The second and third rows are squares of unit
     quaternions built from a and x; the last row closes the column sums."""
-    a, x = params.a, params.x
-    ahat = Quaternion(a.w, a.x, 0.0, 0.0)
-    u_hat_i = (ONE + ahat).normalized() * QI
-    u_full = (ONE + a).normalized()
-    b = u_hat_i * u_hat_i
-    c = (x * u_full) * (x * u_full)
-    d = (x * u_hat_i) * (x * u_hat_i)
-    return QMatrix.from_entries([
-        [ONE, ONE, ONE, ONE],
-        [ONE, a, b, -(ONE + a + b)],
-        [ONE, c, d, -(ONE + c + d)],
-        [ONE, -(ONE + a + c), -(ONE + b + d), ONE + a + b + c + d],
-    ])
+    one, a, x = ONE.as_array(), params.a.as_array(), params.x.as_array()
+    u_hat_i = qmul(_normalized(_one_plus_ahat(a)), I.as_array())
+    x_full = qmul(x, _normalized(one + a))
+    x_hat_i = qmul(x, u_hat_i)
+    b = qmul(u_hat_i, u_hat_i)
+    c = qmul(x_full, x_full)
+    d = qmul(x_hat_i, x_hat_i)
+    return QMatrix(np.array([
+        [one, one, one, one],
+        [one, a, b, -(one + a + b)],
+        [one, c, d, -(one + c + d)],
+        [one, -(one + a + c), -(one + b + d), one + a + b + c + d],
+    ]))
 
 
 # ---------------------------------------------------------------------------
 # generic 3x3 family
 # ---------------------------------------------------------------------------
+
+
+def on_zeta_circle(zeta: np.ndarray) -> np.ndarray:
+    """zeta = -1/2 + s i + t j with s^2 + t^2 = 3/4, for (...,4) arrays:
+    |s^2 + t^2 - 3/4|, |Re zeta + 1/2| and |k coordinate| each at most
+    ZETA_CIRCLE.  Written with <=, so a NaN coordinate fails it, as does
+    an s or t whose square overflows."""
+    w, s, t, k = zeta[..., 0], zeta[..., 1], zeta[..., 2], zeta[..., 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((np.abs(s * s + t * t - 0.75) <= ZETA_CIRCLE)
+                & (np.abs(w + 0.5) <= ZETA_CIRCLE) & (np.abs(k) <= ZETA_CIRCLE))
 
 
 def generic3(a: Quaternion, branch: str = "+") -> QMatrix | None:
@@ -198,9 +221,12 @@ def special3_arr(family_id: str, params, variants):
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != len(names):
         raise QStochError(f"{family_id} takes ({', '.join(names)})")
+    if not np.isfinite(params).all():
+        raise QStochError(f"{family_id} parameters ({', '.join(names)}) "
+                          "must be finite")
     signs = _signs(np.asarray(variants), bits)
     ok = np.ones(params.shape[0], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if family_id == "s1":
             beta, theta = params.T
             a, b, zeta = _quat(1.0, 0.0, 0.0, 0.0), _zeta_arr(beta), _zeta_arr(theta)
@@ -243,10 +269,9 @@ def special3_arr(family_id: str, params, variants):
             a = _quat(a1, a2, a3, a4)
             t = et * 2.0 * np.abs(a3)
             s = -(a1 * a4 - a2 * a3) * t / (a3 * a3 + a4 * a4)
-            # a1 outside (-1/2, 1), or a sign combination off the (s,t) circle
-            ok = ((-0.5 < a1) & (a1 < 1.0)
-                  & (np.abs(s * s + t * t - 0.75) <= ZETA_CIRCLE))
             zeta = _quat(-0.5, s, t, 0.0)
+            # a1 outside (-1/2, 1), or a sign combination off the (s,t) circle
+            ok = (-0.5 < a1) & (a1 < 1.0) & on_zeta_circle(zeta)
             bw = np.stack([_quat(0.0, -a3 / a2, 1.0, 0.0),
                            _quat(-a2 / a3, 1.0 / (2.0 * a3), 0.0, 1.0)], axis=-1)
             b0 = _quat(-0.5, (1.0 - a1) / (2.0 * a2), 0.0, 0.0)
@@ -280,67 +305,64 @@ def special3(family_id: str, params, variant: int = 0) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def read_family3(m: QMatrix) -> tuple[Quaternion, Quaternion, Quaternion]:
-    """(a, b, zeta) read from the frame: a = M21, b = M31, zeta = conj(a) M22."""
+def read_family3(m: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, zeta) as (4,) arrays read from the frame: a = M21, b = M31,
+    zeta = conj(a) M22."""
     if m.rows != 3 or m.cols != 3:
         raise QStochError("family frames are 3x3")
-    a = m.entry(1, 0)
-    b = m.entry(2, 0)
-    zeta = a.conjugate() * m.entry(1, 1)
-    return a, b, zeta
+    a, b = m.data[1, 0], m.data[2, 0]
+    return a, b, qmul(qconj(a), m.data[1, 1])
 
 
 def verify_family3(m: QMatrix, family_id: str,
                    tol: float = FAMILY_RESIDUAL) -> bool:
     """Check the defining constraints of the named family on the parameters
-    read off the matrix."""
+    read off the matrix; a NaN residual fails."""
     if family_id not in FAMILY_IDS:
         raise QStochError(f"unknown family {family_id!r}")
     a, b, zeta = read_family3(m)
-    s, t = zeta.x, zeta.y
-    checks = [
-        abs(a.norm() - 1.0), abs(b.norm() - 1.0), abs(zeta.norm() - 1.0),
-        abs(zeta.w + 0.5), abs(zeta.z),
-        float(np.max(np.abs(m.data - family3_matrix_arr(
-            np.stack([a.as_array(), b.as_array(), zeta.as_array()]))))),
-    ]
-    if max(checks) > tol:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    s, t = zeta[1], zeta[2]
+    checks = [abs(qnorm(a) - 1.0), abs(qnorm(b) - 1.0), np.max(np.abs(
+        m.data - family3_matrix_arr(np.stack([a, b, zeta]))))]
+    if not (on_zeta_circle(zeta) and np.max(checks) <= tol):
         return False
-    pv = float(p_arr(a.as_array(), s, t))
+    pv = p_arr(a, s, t)
     if family_id == "generic":
-        alpha0, alpha1, alpha2 = alphas_arr(a.as_array())
-        b_mat, v = mub3_system_arr(a.as_array(), zeta.as_array())
+        alpha0, alpha1, alpha2 = alphas_arr(a)
+        b_mat, v = mub3_system_arr(a, zeta)
         residuals = [abs(4 * alpha0 * s * s + 8 * alpha1 * s * t + alpha2),
-                     float(np.linalg.norm(b_mat @ b.as_array() - v))]
-        return max(residuals) <= tol and abs(pv) > P_FLOOR
+                     np.linalg.norm(b_mat @ b - v)]
+        return bool(np.max(residuals) <= tol and abs(pv) > P_FLOOR)
     if family_id == "s1":
-        residuals = [(a - ONE).norm(), abs(b.w + 0.5), abs(b.z)]
+        residuals = [qnorm(a - ONE.as_array()), abs(bw + 0.5), abs(bz)]
     elif family_id == "s2":
-        match = min((a - zeta).norm(), (a - zeta * zeta).norm())
+        match = min(qnorm(a - zeta), qnorm(a - qmul(zeta, zeta)))
         residuals = [match,
-                     abs(b.w - (1 - 2 * (a.x * b.x + a.y * b.y))),
-                     abs(b.z - 2 * (a.y * b.x - a.x * b.y))]
+                     abs(bw - (1 - 2 * (ax * bx + ay * by))),
+                     abs(bz - 2 * (ay * bx - ax * by))]
     elif family_id == "s3":
-        match = min((a - OMEGA).norm(), (a - OMEGA * OMEGA).norm())
-        residuals = [match,
-                     abs(b.w - (1 - 2 * a.x * b.x)),
-                     abs(b.z - 2 * a.x * b.y)]
+        residuals = [np.min(qnorm(a - OMEGA_POWERS[1:])),
+                     abs(bw - (1 - 2 * ax * bx)),
+                     abs(bz - 2 * ax * by)]
     elif family_id == "s4":
-        residuals = [abs(a.w - 0.25), abs(a.x ** 2 - 3.0 / 16.0),
-                     abs(a.y ** 2 - 3.0 / 16.0), abs(a.z - 4 * a.x * a.y),
-                     abs(b.w + 0.5 + (4.0 / 3.0) * a.z * b.z),
-                     abs(b.y - (2 * a.y / 3.0) * (1 - 4 * b.w - 8 * a.x * b.x)),
+        residuals = [abs(aw - 0.25), abs(ax ** 2 - 3.0 / 16.0),
+                     abs(ay ** 2 - 3.0 / 16.0), abs(az - 4 * ax * ay),
+                     abs(bw + 0.5 + (4.0 / 3.0) * az * bz),
+                     abs(by - (2 * ay / 3.0) * (1 - 4 * bw - 8 * ax * bx)),
                      abs(s)]
-    else:  # s5
-        residuals = [abs(3 * a.x ** 2 - (1 - a.w) ** 2),
-                     abs(6 * a.y ** 2 - (1 - a.w) * (1 + 2 * a.w)),
-                     abs(a.z ** 2 - 3 * a.y ** 2),
-                     abs(pv),
-                     abs(b.w + 0.5 + a.x * b.z / a.y),
-                     abs(b.x - ((1 - a.w) / (2 * a.x) - a.y * b.y / a.x
-                                + b.z / (2 * a.y))),
-                     abs(t * t - 4 * a.y ** 2)]
-    return max(residuals) <= tol
+    else:  # s5; a frame of another family can have ax or ay = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residuals = [abs(3 * ax ** 2 - (1 - aw) ** 2),
+                         abs(6 * ay ** 2 - (1 - aw) * (1 + 2 * aw)),
+                         abs(az ** 2 - 3 * ay ** 2),
+                         abs(pv),
+                         abs(bw + 0.5 + ax * bz / ay),
+                         abs(bx - ((1 - aw) / (2 * ax) - ay * by / ax
+                                   + bz / (2 * ay))),
+                         abs(t * t - 4 * ay ** 2)]
+    return bool(np.max(residuals) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +408,6 @@ def phi_circle_roots_arr(a: np.ndarray):
     thetas = np.stack([th0, th1, th0 + np.pi, th1 + np.pi], axis=1) % (2 * np.pi)
     valid = np.repeat(valid_base[:, None], 4, axis=1)
     return thetas, valid
-
-
-# 1, omega and omega^2 as (4,) rows
-OMEGA_POWERS = np.array([[1.0, 0.0, 0.0, 0.0], OMEGA.as_array(),
-                         (OMEGA * OMEGA).as_array()])
 
 
 def mub3_system_arr(a: np.ndarray, zeta: np.ndarray):

@@ -21,12 +21,12 @@ import numpy as np
 from . import hadamard
 from .errors import QStochError
 from .qmatrix import (QMatrix, _chi, _from_chi_rows, _odd_rows, _qr_retract,
-                      fourier, gram_schmidt_columns, identity, qconj,
-                      qmat_adjoint, qmat_eye, qmat_mul, qmul, qnormsq,
-                      random_quaternion_array, read_qmatrix_text, write_qmat)
-from .quaternion import ONE, Quaternion
+                      fourier, gram_schmidt_columns, identity, qmat_adjoint,
+                      qmat_eye, qmat_mul, random_quaternion_array,
+                      read_qmatrix_text, write_qmat)
+from .quaternion import ONE, Quaternion, qconj, qmul, qnormsq
 from .tol import (DESCENT_GOAL, DESCENT_STALL, GRADIENT_FLOOR, GROUP,
-                  NEAR_MISS, STEP_FLOOR, UNBIASED, ZETA_CIRCLE)
+                  NEAR_MISS, STEP_FLOOR, UNBIASED)
 
 
 def cross_gram_deviation(a: np.ndarray, b: np.ndarray):
@@ -89,26 +89,21 @@ def complete_mub_h2() -> MubSet:
     return MubSet(2, tuple(bases))
 
 
-def _check_cube_root(q: Quaternion, name: str) -> None:
-    if (not q.is_unit() or abs(q.w + 0.5) > ZETA_CIRCLE
-            or abs(q.z) > ZETA_CIRCLE):
-        raise QStochError(f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
-
-
 def one_param_h3(s: float, t: float) -> MubSet:
     """Four bases {I, F_3, A(s,t)/sqrt3, A(-s,-t)/sqrt3} with A the circulant
     with diagonal zeta = -1/2 + s i + t j."""
-    if abs(s * s + t * t - 0.75) > ZETA_CIRCLE:
+    if not hadamard.on_zeta_circle(np.array([-0.5, s, t, 0.0])):
         raise QStochError("(s,t) must lie on the circle s^2 + t^2 = 3/4")
     root3 = math.sqrt(3.0)
+    one = ONE.as_array()
 
     def circ(sv: float, tv: float) -> QMatrix:
-        zeta = Quaternion(-0.5, sv, tv, 0.0)
-        return QMatrix.from_entries([
-            [zeta, ONE, ONE],
-            [ONE, zeta, ONE],
-            [ONE, ONE, zeta],
-        ]) / root3
+        zeta = np.array([-0.5, sv, tv, 0.0])
+        return QMatrix(np.array([
+            [zeta, one, one],
+            [one, zeta, one],
+            [one, one, zeta],
+        ]) / root3)
 
     return MubSet(3, (identity(3), fourier(3), circ(s, t), circ(-s, -t)))
 
@@ -117,20 +112,23 @@ def three_param_h3(a: Quaternion, b: Quaternion, c: Quaternion) -> MubSet:
     """Four bases {I, F_3, A/sqrt3, B/sqrt3} indexed by three quaternionic
     cube roots of unity orthogonal to k."""
     for q, name in ((a, "a"), (b, "b"), (c, "c")):
-        _check_cube_root(q, name)
+        if not hadamard.on_zeta_circle(q.as_array()):
+            raise QStochError(
+                f"{name} must be -1/2 + s i + t j with s^2 + t^2 = 3/4")
     root3 = math.sqrt(3.0)
-    bbar = b.conjugate()
-    mat_a = QMatrix.from_entries([
-        [ONE, ONE, ONE],
-        [ONE, a, a * a],
-        [b, b * a * a, b * a],
-    ]) / root3
-    mat_b = QMatrix.from_entries([
-        [ONE, ONE, ONE],
-        [ONE, c, c * c],
-        [bbar, bbar * c * c, bbar * c],
-    ]) / root3
-    return MubSet(3, (identity(3), fourier(3), mat_a, mat_b))
+    one = ONE.as_array()
+
+    def frame(z: np.ndarray, row: np.ndarray) -> QMatrix:
+        """[[1, 1, 1], [1, z, z z], [r, (r z) z, r z]] / sqrt3, r = row."""
+        rz = qmul(row, z)
+        return QMatrix(np.array([
+            [one, one, one],
+            [one, z, qmul(z, z)],
+            [row, qmul(rz, z), rz],
+        ]) / root3)
+
+    a, b, c = (q.as_array() for q in (a, b, c))
+    return MubSet(3, (identity(3), fourier(3), frame(a, b), frame(c, qconj(b))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A matrix is stored as a float64 array of shape (rows, cols, 4); the last
 axis carries the 1, i, j, k coordinates.  This storage, and the QMAT text
-format, is the interface every module and file sees.  The array helpers
-(qmul, qconj, qmat_mul, ...) broadcast over leading axes and are reused by
-the heavier numerical modules.
+format, is the interface every module and file sees.  The matrix helpers
+(qmat_mul, qmat_adjoint, ...) broadcast over leading axes, like the entry
+algebra of qstoch.quaternion they build on, and are reused by the heavier
+numerical modules.
 
 Products and orthonormalization run on the complex adjoint representation
 chi (F. Zhang, LAA 251, 1997).  chi replaces an entry z1 + z2 j, with
@@ -19,42 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QStochError
-from .quaternion import Quaternion, format_quaternion, parse_quaternion
+from .quaternion import (Quaternion, format_quaternion, parse_quaternion, qconj,
+                         qmul, qnorm, qnormsq)
 from .tol import APPROX_EQ, GROUP, HADAMARD, ZERO_ENTRY
-
-# ---------------------------------------------------------------------------
-# array-level quaternion algebra
-# ---------------------------------------------------------------------------
-
-
-def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (...,4) coordinate arrays, broadcasting."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-def qconj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def qnormsq(a: np.ndarray) -> np.ndarray:
-    return (a * a).sum(axis=-1)
-
-
-def qnorm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(qnormsq(a))
-
 
 # -- complex adjoint kernel (see the module docstring for chi) ---------------
 
@@ -160,11 +128,6 @@ class QMatrix:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_entries(rows: list[list[Quaternion]]) -> "QMatrix":
-        arr = np.array([[q.as_array() for q in row] for row in rows])
-        return QMatrix(arr)
-
-    @staticmethod
     def from_real(mat) -> "QMatrix":
         mat = np.asarray(mat, dtype=float)
         out = np.zeros(mat.shape + (4,))
@@ -194,7 +157,7 @@ class QMatrix:
         return self.rows == self.cols
 
     def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_array(self.data[i, j])
+        return Quaternion(*(float(v) for v in self.data[i, j]))
 
     def norms(self) -> np.ndarray:
         return qnorm(self.data)

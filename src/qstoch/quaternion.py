@@ -1,17 +1,49 @@
-"""Floating-point quaternion scalar type and the small algebra built on it.
+"""Floating-point quaternions: the one algebra, and a value type.
 
-Coordinates follow the 1, i, j, k basis.  The unit check is tolerant;
-there is no exact-rational mode.
+Coordinates follow the 1, i, j, k basis.  Every product, conjugate and norm
+runs on float arrays whose last axis holds the four coordinates: qmul,
+qconj, qnormsq and qnorm broadcast over leading axes.  Quaternion is the
+value type that parsing, formatting and family parameters need; it does no
+arithmetic.  The unit check is tolerant; there is no exact-rational mode.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tol import UNIT_NORM
+
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of (...,4) coordinate arrays, broadcasting; i*j = k
+    and cyclic, so order matters."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
+def qconj(a: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def qnormsq(a: np.ndarray) -> np.ndarray:
+    return (a * a).sum(axis=-1)
+
+
+def qnorm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(qnormsq(a))
 
 
 @dataclass(frozen=True)
@@ -23,62 +55,14 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
 
-    # -- algebra ----------------------------------------------------------
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion | float") -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        # Hamilton product, i*j = k and cyclic; order matters.
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    def __truediv__(self, other: float) -> "Quaternion":
-        return self * (1.0 / other)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def normalized(self) -> "Quaternion":
-        return self / self.norm()
-
-    # -- structure --------------------------------------------------------
-
     def is_unit(self) -> bool:
-        """|q| = 1 within UNIT_NORM; False when a coordinate is NaN."""
-        return abs(self.norm() - 1.0) <= UNIT_NORM
-
-    # -- conversions ------------------------------------------------------
+        """|q| = 1 within UNIT_NORM; False when a coordinate is NaN or the
+        norm overflows."""
+        with np.errstate(over="ignore"):
+            return abs(qnorm(self.as_array()) - 1.0) <= UNIT_NORM
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(arr) -> "Quaternion":
-        w, x, y, z = (float(v) for v in arr)
-        return Quaternion(w, x, y, z)
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

@@ -31,7 +31,7 @@ class BistochasticMatrix:
         if not np.isfinite(arr).all():
             raise QStochError("matrix has a NaN or infinite entry")
         if np.min(arr) < ENTRY_FLOOR:
-            raise QStochError(f"negative entry {np.min(arr)!r}")
+            raise QStochError(f"negative entry {float(np.min(arr))!r}")
         rows = np.abs(arr.sum(axis=1) - 1.0)
         cols = np.abs(arr.sum(axis=0) - 1.0)
         if max(rows.max(), cols.max()) > BISTOCHASTIC_SUM:

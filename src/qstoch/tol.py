@@ -72,7 +72,8 @@ ZETA_CIRCLE = 1e-9
 FAMILY_RESIDUAL = 1e-9
 # angle in radians at or below which two roots of phi on the circle are one
 ROOT_MERGE = 1e-9
-# |1 + a| at or below which generic4's a is the pole a = -1
+# |1 + ahat|, ahat the span{1,i} part of a (so at most |1 + a|), at or below
+# which generic4's a is the pole a = -1
 A_POLE = 1e-9
 
 # -- solver floors -------------------------------------------------------------

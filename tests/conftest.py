@@ -3,26 +3,25 @@
 import numpy as np
 import pytest
 
-from qstoch.quaternion import Quaternion
 
-
-def left_mult_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of left multiplication by q.
+def left_mult_matrix(q) -> np.ndarray:
+    """The 4x4 real matrices of left multiplication by (...,4) quaternions q.
 
     Independent formulation of the Hamilton product used as an oracle: the
-    product q*r equals left_mult_matrix(q) @ r.as_array().
+    product q*r equals left_mult_matrix(q) @ r.
     """
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
-        [w, -x, -y, -z],
-        [x, w, -z, y],
-        [y, z, w, -x],
-        [z, -y, x, w],
-    ])
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        np.stack([w, -x, -y, -z], axis=-1),
+        np.stack([x, w, -z, y], axis=-1),
+        np.stack([y, z, w, -x], axis=-1),
+        np.stack([z, -y, x, w], axis=-1),
+    ], axis=-2)
 
 
-def ref_mul(q: Quaternion, r: Quaternion) -> Quaternion:
-    return Quaternion(*(left_mult_matrix(q) @ r.as_array()))
+def ref_mul(q, r) -> np.ndarray:
+    """q*r for (...,4) arrays, broadcasting, through left_mult_matrix."""
+    return (left_mult_matrix(q) @ np.asarray(r, dtype=float)[..., None])[..., 0]
 
 
 def qdiag(entries) -> np.ndarray:
@@ -44,7 +43,7 @@ def random_quaternion(rng):
         v = rng.standard_normal(4)
         if unit:
             v /= np.linalg.norm(v)
-        return Quaternion(*v)
+        return v
     return draw
 
 

@@ -21,7 +21,11 @@ read i coordinates, which the dephased pure-part rule replaced.  They share no c
 path with those beyond the elementwise Hamilton product (plus the
 generic-family generator feeding the sweep, and the chi conversions and
 the start-point QR of the descent), so a defect cannot hide in a
-comparison against them.
+comparison against them.  The references for code that multiplies with
+qstoch.quaternion.qmul (the unbiasedness system, and the aligning rotation
+and entrywise conjugation of the old n = 3 rule) multiply through
+conftest's left-multiplication matrix instead, so they do not share the
+formula they check.
 
 Three references read a setting of the code they check: descend_qr takes
 the stall window of qstoch.mub's descent, so both stop by the same rule,
@@ -43,13 +47,14 @@ from qstoch.differential import _generator_table, _zero_mask_stable
 from qstoch.errors import DegenerateP, QStochError
 from qstoch.mub import cross_gram_deviation
 from qstoch.qmatrix import (QMatrix, _chi, _chi_from_rows, _from_chi_rows,
-                            _qr_retract, qconj, qmat_eye, qmat_mul, qmul,
-                            qnormsq)
-from qstoch.quaternion import J, ONE, Quaternion
+                            _qr_retract, qmat_eye, qmat_mul)
+from qstoch.quaternion import qconj, qmul, qnormsq
 from qstoch.stochastic import (BistochasticMatrix, SignPattern, _index_bits,
                                permutation_array)
 from qstoch.tol import (DESCENT_STALL, REDUCED_REGULAR, REDUCED_ZERO,
                         ZERO_BAND, ZERO_ENTRY)
+
+from conftest import ref_mul
 
 
 def hamilton_qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,15 +343,16 @@ def special_family_points_loop(family_id: str, resolution: int) -> np.ndarray:
 # the generic 3x3 family, one member at a time
 # ---------------------------------------------------------------------------
 
-OMEGA = Quaternion(-0.5, R32, 0.0, 0.0)
+OMEGA = np.array([-0.5, R32, 0.0, 0.0])
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def circle_point(theta: float) -> tuple[float, float]:
     return R32 * math.cos(theta), R32 * math.sin(theta)
 
 
-def alpha_coeffs(a: Quaternion) -> tuple[float, float, float]:
-    a1, a2, a3, a4 = a.w, a.x, a.y, a.z
+def alpha_coeffs(a: np.ndarray) -> tuple[float, float, float]:
+    a1, a2, a3, a4 = (float(v) for v in a)
     alpha0 = 1 - a1 + 4 * a1 * a2 ** 2 + 2 * a1 * a4 ** 2 + 2 * a2 * a3 * a4 \
         - 2 * a3 ** 2 - 2 * a4 ** 2
     alpha1 = a1 ** 2 * a4 - a2 ** 2 * a4 + 2 * a1 * a2 * a3 - a1 * a4 + a2 * a3
@@ -355,33 +361,29 @@ def alpha_coeffs(a: Quaternion) -> tuple[float, float, float]:
     return alpha0, alpha1, alpha2
 
 
-def phi_value(a: Quaternion, s: float, t: float) -> float:
+def phi_value(a: np.ndarray, s: float, t: float) -> float:
     """4 alpha0 s^2 + 8 alpha1 s t + alpha2; vanishing selects the generic family."""
     alpha0, alpha1, alpha2 = alpha_coeffs(a)
     return 4 * alpha0 * s * s + 8 * alpha1 * s * t + alpha2
 
 
-_BASIS = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
-          Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
-
-
-def _qpow3(q: Quaternion, k: int) -> Quaternion:
-    out = ONE
+def _qpow3(q: np.ndarray, k: int) -> np.ndarray:
+    out = _ONE
     for _ in range(k % 3):
-        out = out * q
+        out = ref_mul(out, q)
     return out
 
 
-def unbiased_system(a: Quaternion, s: float, t: float):
+def unbiased_system(a: np.ndarray, s: float, t: float):
     """The system B b = v of hadamard.mub3_system_arr, one entry at a time
     as <1 + w^-i a z^j, 1 + w^i b z^-j> with b = e_m, plus the five signed
     determinants d_i of the augmented matrix (drop column i)."""
-    if abs(a.norm() - 1.0) > 1e-9:
+    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise QStochError("a must be a unit quaternion")
     if abs(s * s + t * t - 0.75) > 1e-9:
         raise QStochError("(s, t) must satisfy s^2 + t^2 = 3/4")
-    zeta = Quaternion(-0.5, s, t, 0.0)
-    abar = a.conjugate()
+    zeta = np.array([-0.5, s, t, 0.0])
+    abar = qconj(a)
     b_mat = np.zeros((4, 4))
     v = np.zeros(4)
     for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
@@ -390,10 +392,11 @@ def unbiased_system(a: Quaternion, s: float, t: float):
         wmi = _qpow3(OMEGA, -i)
         zj = _qpow3(zeta, j)
         zmj = _qpow3(zeta, -j)
-        for m in range(4):
-            e = _BASIS[m]
-            b_mat[r, m] = (wi * e * zmj).w + (zmj * abar * w2i * e * zmj).w
-        v[r] = -(wmi * a * zj).w
+        pre = ref_mul(ref_mul(zmj, abar), w2i)
+        for m, e in enumerate(np.eye(4)):
+            ez = ref_mul(e, zmj)
+            b_mat[r, m] = ref_mul(wi, ez)[0] + ref_mul(pre, ez)[0]
+        v[r] = -ref_mul(ref_mul(wmi, a), zj)[0]
     aug = np.hstack([b_mat, v[:, None]])
     dets = tuple(float(np.linalg.det(np.delete(aug, i, axis=1))) for i in range(5))
     return b_mat, v, dets
@@ -402,12 +405,12 @@ def unbiased_system(a: Quaternion, s: float, t: float):
 _SCAN_POINTS = 720
 
 
-def _phi_of_theta(a: Quaternion, theta: float) -> float:
+def _phi_of_theta(a: np.ndarray, theta: float) -> float:
     s, t = circle_point(theta)
     return phi_value(a, s, t)
 
 
-def phi_circle_roots_scan(a: Quaternion) -> list[float]:
+def phi_circle_roots_scan(a: np.ndarray) -> list[float]:
     """Roots of phi on the (s,t) circle by bracketing a 720-point scan of the
     angle and bisecting each sign change."""
     thetas = np.linspace(0.0, 2.0 * np.pi, _SCAN_POINTS + 1)
@@ -442,7 +445,7 @@ def phi_circle_roots_scan(a: Quaternion) -> list[float]:
     return deduped
 
 
-def solve_b(a: Quaternion, s: float, t: float) -> Quaternion:
+def solve_b(a: np.ndarray, s: float, t: float) -> np.ndarray:
     """Phase vector of the third row, by Cramer's rule with validated signs.
 
     With d_i the determinants of unbiased_system, b_m = (-1)^(m+1) d_m / d5
@@ -456,10 +459,10 @@ def solve_b(a: Quaternion, s: float, t: float) -> Quaternion:
     if (abs(np.linalg.norm(coords) - 1.0) > 1e-7
             or np.linalg.norm(b_mat @ coords - v) > 1e-9):
         coords = np.linalg.solve(b_mat, v)
-    return Quaternion(*coords)
+    return coords
 
 
-def generic3_scan(a: Quaternion, branch: str = "+",
+def generic3_scan(a: np.ndarray, branch: str = "+",
                   roots: list[float] | None = None):
     """hadamard.generic3 by the scan and Cramer's rule: the (3,3,4) frame,
     None when phi has no root, DegenerateP when p vanishes at the root.
@@ -470,21 +473,22 @@ def generic3_scan(a: Quaternion, branch: str = "+",
         return None
     theta = roots[0] if branch == "+" or len(roots) == 1 else roots[1]
     s, t = circle_point(theta)
-    if abs((a.y ** 2 + a.z ** 2) * s + (a.w * a.z - a.x * a.y) * t) <= 1e-6:
+    aw, ax, ay, az = a
+    if abs((ay ** 2 + az ** 2) * s + (aw * az - ax * ay) * t) <= 1e-6:
         raise DegenerateP("p(a,s,t) vanishes at the selected root")
-    b = solve_b(a, s, t)
-    return _frame(a.as_array(), b.as_array(), np.array([-0.5, s, t, 0.0]))
+    return _frame(a, solve_b(a, s, t), np.array([-0.5, s, t, 0.0]))
 
 
 def mub3_system_broadcast(a: np.ndarray, zeta: np.ndarray):
-    """The unbiasedness system for (N,4) arrays by broadcast Hamilton
-    products, one per basis quaternion: (N,4,4) matrices, (N,4) sides."""
+    """The unbiasedness system for (N,4) arrays by broadcast products
+    through the left-multiplication matrix, one per basis quaternion:
+    (N,4,4) matrices, (N,4) sides."""
     n = a.shape[0]
     one = np.array([1.0, 0.0, 0.0, 0.0])
     b_mat = np.zeros((n, 4, 4))
     v = np.zeros((n, 4))
     abar = qconj(a)
-    z_pows = [np.broadcast_to(one, a.shape), zeta, qmul(zeta, zeta)]
+    z_pows = [np.broadcast_to(one, a.shape), zeta, ref_mul(zeta, zeta)]
     basis = np.eye(4)
     for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         wi = _W_POWS[i % 3]
@@ -492,12 +496,12 @@ def mub3_system_broadcast(a: np.ndarray, zeta: np.ndarray):
         wmi = _W_POWS[(-i) % 3]
         zj = z_pows[j % 3]
         zmj = z_pows[(-j) % 3]
-        pre = qmul(zmj, qmul(abar, w2i))
+        pre = ref_mul(zmj, ref_mul(abar, w2i))
         for m in range(4):
             e = basis[m]
-            b_mat[:, r, m] = qmul(wi, qmul(e, zmj))[:, 0] \
-                + qmul(pre, qmul(e, zmj))[:, 0]
-        v[:, r] = -qmul(wmi, qmul(a, zj))[:, 0]
+            b_mat[:, r, m] = ref_mul(wi, ref_mul(e, zmj))[:, 0] \
+                + ref_mul(pre, ref_mul(e, zmj))[:, 0]
+        v[:, r] = -ref_mul(wmi, ref_mul(a, zj))[:, 0]
     return b_mat, v
 
 
@@ -641,7 +645,7 @@ def pattern_verdict_2x2(zero: np.ndarray, degenerate: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def aligning_conjugator(q: Quaternion) -> Quaternion:
+def aligning_conjugator(q: np.ndarray) -> np.ndarray:
     """Unit x such that x*q*x^-1 is complex with nonnegative i coordinate.
 
     Conjugation rotates the pure part; x implements the rotation taking the
@@ -649,28 +653,27 @@ def aligning_conjugator(q: Quaternion) -> Quaternion:
     (pure part at most 1e-9), and a half turn about j when it points along
     -i (cosine within 1e-15 of -1).
     """
-    pn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    pn = math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     if pn <= 1e-9:
-        return ONE
-    vx, vy, vz = q.x / pn, q.y / pn, q.z / pn
+        return _ONE
+    vx, vy, vz = q[1] / pn, q[2] / pn, q[3] / pn
     c = vx  # cosine of the angle to the i axis
     if c >= 1.0 - 1e-15:
-        return ONE
+        return _ONE
     if c <= -1.0 + 1e-15:
-        return J  # half turn about j sends i to -i
+        return np.array([0.0, 0.0, 1.0, 0.0])  # half turn about j: i to -i
     # axis = v x i, normalized; rotation by angle arccos(c) about it maps v to i.
     ax, ay, az = 0.0, vz, -vy
     an = math.hypot(ay, az)
     ay, az = ay / an, az / an
     half_c = math.sqrt((1.0 + c) / 2.0)
     half_s = math.sqrt((1.0 - c) / 2.0)
-    return Quaternion(half_c, half_s * ax, half_s * ay, half_s * az)
+    return np.array([half_c, half_s * ax, half_s * ay, half_s * az])
 
 
-def entrywise_conjugate(m: QMatrix, x: Quaternion) -> QMatrix:
-    """x m_ij x^-1 for every entry, x a unit quaternion."""
-    xa = x.as_array()
-    return QMatrix(qmul(qmul(xa, m.data), qconj(xa)))
+def entrywise_conjugate(m: QMatrix, x: np.ndarray) -> QMatrix:
+    """x m_ij x^-1 for every entry, x a unit quaternion as a (4,) array."""
+    return QMatrix(ref_mul(ref_mul(x, m.data), qconj(x)))
 
 
 def pattern_verdict_3x3_aligned(p: QMatrix) -> str:
@@ -706,7 +709,7 @@ def pattern_verdict_3x3_aligned(p: QMatrix) -> str:
     pr, pc = best
     dephased = QMatrix(p.data[np.ix_(pr, pc)]).dephase()
     reduced = entrywise_conjugate(dephased,
-                                  aligning_conjugator(dephased.entry(1, 1)))
+                                  aligning_conjugator(dephased.data[1, 1]))
     if reduced.max_jk() > REDUCED_ZERO:
         return "undecided"
     imag = reduced.max_imag()

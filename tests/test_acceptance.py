@@ -17,7 +17,7 @@ from qstoch.qmatrix import (QMatrix, fourier, haar_orthogonal, haar_unitary,
                             qmat_adjoint, qmat_mul, qnormsq,
                             random_symplectic)
 from qstoch.quaternion import I as QI
-from qstoch.quaternion import ONE, Quaternion
+from qstoch.quaternion import Quaternion
 
 R32 = math.sqrt(3) / 2
 
@@ -94,7 +94,7 @@ def test_04_hadamard_family_grids():
         for eta in angles12:
             a = Quaternion(math.cos(chi), math.sin(chi) * math.cos(eta),
                            math.sin(chi) * math.sin(eta), 0)
-            if (ONE + a).norm() <= 1e-9:
+            if math.hypot(1 + a.w, a.x, a.y, a.z) <= 1e-9:
                 continue
             for xi in angles12:
                 x = Quaternion(0, math.cos(xi), math.sin(xi), 0)

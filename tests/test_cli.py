@@ -895,13 +895,13 @@ GOLDEN = [
     ('mub h3-one-param --s 0 --t 0',
      3, '', 'error: (s,t) must lie on the circle s^2 + t^2 = 3/4\n'),
     ('mub h3-one-param --s nan --t 0',
-     3, '', 'error: quaternion matrix has a NaN or infinite entry\n'),
+     3, '', 'error: (s,t) must lie on the circle s^2 + t^2 = 3/4\n'),
     ('construct special3 --family s1 --params nan,1.2',
-     3, '', 'error: quaternion matrix has a NaN or infinite entry\n'),
+     3, '', 'error: s1 parameters (beta, theta) must be finite\n'),
     ('sigma {sums.rmat}',
      3, '', 'error: row/column sums deviate from 1 beyond tolerance\n'),
     ('sigma {neg.rmat}',
-     3, '', 'error: negative entry np.float64(-0.5)\n'),
+     3, '', 'error: negative entry -0.5\n'),
     ('sigma {rect.rmat}',
      3, '', 'error: expected a square matrix with n >= 1, got shape (2, 3)\n'),
     ('construct special4 --a (1,1,0,0) --b (1,0,0,0)',

@@ -15,18 +15,19 @@ from oracles import (alpha_coeffs, circle_point, generic3_scan,
 import qstoch
 from qstoch import hadamard
 from qstoch.errors import DegenerateP, NoRealSolution, QStochError
-from qstoch.hadamard import (OMEGA, Generic4Params, Special4Params,
+from qstoch.hadamard import (OMEGA, R32, Generic4Params, Special4Params,
                              alphas_arr, family3_matrix_arr, generic3,
-                             generic4, mub3_system_arr, p_arr,
+                             generic4, mub3_system_arr, on_zeta_circle, p_arr,
                              phi_circle_roots_arr, read_family3, special3,
                              special4, special_family_points,
                              special_family_rows, verify_family3)
-from qstoch.qmatrix import (QMatrix, fourier, qmat_adjoint, qmat_mul, qnorm,
-                            qnormsq)
+from qstoch.qmatrix import QMatrix, fourier, qmat_adjoint, qmat_mul
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import J as QJ
 from qstoch.quaternion import K as QK
-from qstoch.quaternion import ONE, Quaternion
+from qstoch.quaternion import ONE, Quaternion, qnorm, qnormsq
+
+from conftest import ref_mul
 
 F3 = fourier(3)
 
@@ -45,9 +46,9 @@ MUB3_SYSTEM_SHA256 = {
 }
 
 
-def random_unit(rng) -> Quaternion:
+def random_unit(rng) -> np.ndarray:
     v = rng.standard_normal(4)
-    return Quaternion(*(v / np.linalg.norm(v)))
+    return v / np.linalg.norm(v)
 
 
 class TestSpecial4:
@@ -92,10 +93,9 @@ class TestGeneric4:
             u /= np.linalg.norm(u)
             x = Quaternion(0, u[0], u[1], 0)
             m = generic4(Generic4Params(a, x))
-            ahat = Quaternion(a.w, a.x, 0, 0)
-            one_plus = ONE + ahat
-            closed = -(one_plus * one_plus) / one_plus.norm_sq()
-            assert (m.entry(1, 2) - closed).norm() <= 1e-12
+            one_plus = np.array([1 + a.w, a.x, 0, 0])
+            closed = -ref_mul(one_plus, one_plus) / (one_plus @ one_plus)
+            assert qnorm(m.data[1, 2] - closed) <= 1e-12
 
     def test_members_are_hadamard_with_unit_closing_column(self, rng):
         for _ in range(60):
@@ -107,7 +107,7 @@ class TestGeneric4:
             x = Quaternion(0, u[0], u[1], 0)
             m = generic4(Generic4Params(a, x))
             assert m.is_hadamard(1e-9)
-            assert m.entry(1, 3).norm() == pytest.approx(1.0, abs=1e-9)
+            assert qnorm(m.data[1, 3]) == pytest.approx(1.0, abs=1e-9)
 
     def test_pole_rejected(self):
         with pytest.raises(QStochError, match="pole of the family"):
@@ -123,14 +123,14 @@ class TestScalarInvariants:
         assert p_arr(ONE.as_array(), 0.3, 0.2) == 0.0
         assert p_arr(QK.as_array(), math.sqrt(3) / 2, 0.0) == \
             pytest.approx(math.sqrt(3) / 2)
-        assert p_arr(OMEGA.as_array(), 0.1, 0.7) == 0.0
+        assert p_arr(OMEGA, 0.1, 0.7) == 0.0
 
     def test_phi_value_examples(self):
-        assert phi_value(ONE, 0.5, 0.5) == 0.0
+        assert phi_value(ONE.as_array(), 0.5, 0.5) == 0.0
         # at a = -1 the alphas collapse to (2, 0, 2)
-        assert alpha_coeffs(Quaternion(-1, 0, 0, 0)) == (2.0, 0.0, 2.0)
+        assert alpha_coeffs(-ONE.as_array()) == (2.0, 0.0, 2.0)
         for s, t in ((0.1, 0.2), (0.5, -0.3)):
-            assert phi_value(Quaternion(-1, 0, 0, 0), s, t) == \
+            assert phi_value(-ONE.as_array(), s, t) == \
                 pytest.approx(8 * s * s + 2)
 
 
@@ -164,8 +164,7 @@ class TestUnbiasedSystem:
             a = random_unit(rng)
             s, t = circle_point(rng.uniform(0, 2 * np.pi))
             _, _, dets = unbiased_system(a, s, t)
-            assert dets[4] == pytest.approx(3 * p_arr(a.as_array(), s, t) ** 2,
-                                            abs=1e-9)
+            assert dets[4] == pytest.approx(3 * p_arr(a, s, t) ** 2, abs=1e-9)
 
     def test_determinant_identity_sum_squares(self, rng):
         for _ in range(200):
@@ -177,12 +176,12 @@ class TestUnbiasedSystem:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_a_one_degenerates(self):
-        _, _, dets = unbiased_system(ONE, math.sqrt(3) / 2, 0.0)
+        _, _, dets = unbiased_system(ONE.as_array(), math.sqrt(3) / 2, 0.0)
         assert abs(dets[4]) < 1e-12
 
     def test_rejects_off_circle(self):
         with pytest.raises(QStochError, match="must satisfy s"):
-            unbiased_system(ONE, 0.5, 0.5)
+            unbiased_system(ONE.as_array(), 0.5, 0.5)
 
     def test_vectorized_matches_scalar(self, rng):
         a_arr = rng.standard_normal((20, 4))
@@ -195,8 +194,7 @@ class TestUnbiasedSystem:
         b_arr, v_arr = mub3_system_arr(a_arr, zeta)
         d_arr = system_dets_arr(b_arr, v_arr)
         for k in range(20):
-            b_s, v_s, d_s = unbiased_system(Quaternion(*a_arr[k]),
-                                            zeta[k, 1], zeta[k, 2])
+            b_s, v_s, d_s = unbiased_system(a_arr[k], zeta[k, 1], zeta[k, 2])
             assert np.max(np.abs(b_arr[k] - b_s)) < 1e-12
             assert np.max(np.abs(v_arr[k] - v_s)) < 1e-12
             assert np.max(np.abs(d_arr[k] - np.array(d_s))) < 1e-10
@@ -226,7 +224,7 @@ def _outcome(build):
 
 def _assert_same_outcome(a, scan_roots):
     for branch in "+-":
-        got = _outcome(lambda: generic3(a, branch))
+        got = _outcome(lambda: generic3(Quaternion(*a), branch))
         want = _outcome(lambda: generic3_scan(a, branch, scan_roots))
         if isinstance(want, str):
             assert isinstance(got, str) and got == want, (a, branch)
@@ -242,22 +240,21 @@ def _assert_same_outcome(a, scan_roots):
 _SCAN_CELL = 2 * np.pi / 720
 unit_quaternions = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(
-    lambda v: Quaternion(*(np.array(v) / np.linalg.norm(v))))
+    lambda v: np.array(v) / np.linalg.norm(v))
 
 
 class TestGeneric3:
     def test_matches_scan_oracle(self, rng):
         for _ in range(2000):
-            a = rng.standard_normal(4)
-            a = Quaternion(*(a / np.linalg.norm(a)))
+            a = random_unit(rng)
             _assert_same_outcome(a, phi_circle_roots_scan(a))
 
     @settings(max_examples=60, deadline=None)
     @given(unit_quaternions)
     def test_matches_scan_oracle_on_drawn_points(self, a):
-        alphas = np.abs(alphas_arr(a.as_array()))
+        alphas = np.abs(alphas_arr(a))
         assume(alphas.max() == 0.0 or alphas.max() > 1e-12)
-        thetas, valid = phi_circle_roots_arr(a.as_array()[None, :])
+        thetas, valid = phi_circle_roots_arr(a[None, :])
         marks = np.sort(np.concatenate([thetas[valid], [0.0, 2 * np.pi]]))
         assume(np.min(np.diff(marks)) > 2 * _SCAN_CELL)
         _assert_same_outcome(a, phi_circle_roots_scan(a))
@@ -267,7 +264,7 @@ class TestGeneric3:
         while produced < 15:
             a = random_unit(rng)
             try:
-                m = generic3(a, "+")
+                m = generic3(Quaternion(*a), "+")
             except DegenerateP:
                 continue
             if m is None:
@@ -276,11 +273,11 @@ class TestGeneric3:
             assert m.is_hadamard(1e-9)
             assert unbiased_to_fourier_dev(m) < 1e-9
             _, b, _ = read_family3(m)
-            assert b.norm() == pytest.approx(1.0, abs=1e-9)
+            assert qnorm(b) == pytest.approx(1.0, abs=1e-9)
             assert verify_family3(m, "generic", 1e-7)
             a_read, _, zeta = read_family3(m)
-            assert (a_read - a).norm() <= 1e-12
-            assert zeta.x ** 2 + zeta.y ** 2 == pytest.approx(0.75, abs=1e-9)
+            assert qnorm(a_read - a) <= 1e-12
+            assert zeta[1] ** 2 + zeta[2] ** 2 == pytest.approx(0.75, abs=1e-9)
 
     def test_branches_pick_different_roots(self, rng):
         for _ in range(50):
@@ -289,8 +286,8 @@ class TestGeneric3:
             if len(roots) < 2:
                 continue
             try:
-                mp = generic3(a, "+")
-                mm = generic3(a, "-")
+                mp = generic3(Quaternion(*a), "+")
+                mm = generic3(Quaternion(*a), "-")
             except DegenerateP:
                 continue
             if mp is None or mm is None:
@@ -310,7 +307,7 @@ class TestGeneric3:
         for _ in range(40):
             a = random_unit(rng)
             scan = sorted(phi_circle_roots_scan(a))
-            thetas, valid = phi_circle_roots_arr(a.as_array()[None, :])
+            thetas, valid = phi_circle_roots_arr(a[None, :])
             analytic = sorted(set(np.round(thetas[0][valid[0]], 9) % (2 * np.pi)))
             if not scan:
                 assert not valid[0].any() or all(
@@ -348,8 +345,8 @@ class TestSpecial3:
     def test_s4_forces_s_zero(self):
         m = special3("s4", (1.2,), 2)
         _, _, zeta = read_family3(m)
-        assert abs(zeta.x) < 1e-12
-        assert abs(abs(zeta.y) - math.sqrt(3) / 2) < 1e-12
+        assert abs(zeta[1]) < 1e-12
+        assert abs(abs(zeta[2]) - math.sqrt(3) / 2) < 1e-12
 
     def test_s5_infeasible_signs_rejected(self):
         hits = 0
@@ -364,11 +361,12 @@ class TestSpecial3:
         m = special3("s1", (0.3, 1.1))
         assert not verify_family3(m, "s2", 1e-9)
         assert not verify_family3(m, "s4", 1e-9)
+        assert not verify_family3(m, "s5", 1e-9)
 
     def test_fourier_variant_is_family1(self):
         # a = 1, b = omega, zeta = omega satisfies the family 1 restrictions
         m = QMatrix(family3_matrix_arr(
-            np.stack([ONE.as_array(), OMEGA.as_array(), OMEGA.as_array()])))
+            np.stack([ONE.as_array(), OMEGA, OMEGA])))
         assert verify_family3(m, "s1", 1e-12)
 
     def test_unknown_family(self):
@@ -421,19 +419,42 @@ class TestSpecialVariants:
         assert found == []
 
     def test_omega_powers_have_one_owner(self):
-        """One statement in src/qstoch turns powers of OMEGA into arrays:
-        hadamard.OMEGA_POWERS, which the 3x3 system and the sweep read."""
+        """One statement in src/qstoch multiplies OMEGA: the one that builds
+        hadamard.OMEGA_POWERS, which the 3x3 system, the s3 check and the
+        sweep read."""
         found = []
         for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
                 if any(isinstance(node, ast.Call)
-                       and getattr(node.func, "attr", None) == "as_array"
-                       and "OMEGA" in ast.unparse(node.func.value)
+                       and getattr(node.func, "id", None) == "qmul"
+                       and "OMEGA" in ast.unparse(node)
                        for node in ast.walk(stmt)):
                     found.append(f"{path.name}:{stmt.lineno}")
         assert len(found) == 1 and found[0].startswith("hadamard.py:"), found
         assert np.array_equal(hadamard.OMEGA_POWERS, [
-            ONE.as_array(), OMEGA.as_array(), (OMEGA * OMEGA).as_array()])
+            ONE.as_array(), OMEGA, ref_mul(OMEGA, OMEGA)])
+
+
+class TestZetaCircle:
+    def test_bounds_the_three_quantities(self):
+        zeta = np.array([-0.5, R32 * math.cos(0.3), R32 * math.sin(0.3), 0.0])
+        off = [[0, 0, 0, 0], [0, 0, 0, 2e-9], [2e-9, 0, 0, 0],
+               [0, 2e-9, 0, 0], [0, 0, math.nan, 0], [math.nan, 0, 0, 0],
+               [0, 0, 0, math.nan], [0, math.inf, 0, 0], [0, 1e200, 0, 0]]
+        assert on_zeta_circle(zeta + np.array(off)).tolist() == [
+            True] + [False] * (len(off) - 1)
+
+    def test_is_the_one_reader_of_its_tolerance(self):
+        """The zeta circle rule has one owner: no other function in
+        src/qstoch reads ZETA_CIRCLE."""
+        readers = set()
+        for path in sorted(Path(qstoch.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name) and node.id == "ZETA_CIRCLE"
+                        for node in ast.walk(fn)):
+                    readers.add(f"{path.name}:{fn.name}")
+        assert readers == {"hadamard.py:on_zeta_circle"}
 
 
 class TestFamilySweeps:

@@ -15,9 +15,9 @@ import pytest
 from qstoch.cli import main
 from qstoch.differential import jacobian
 from qstoch.errors import DegenerateP, QStochError
-from qstoch.hadamard import (Generic4Params, generic3, read_family3,
+from qstoch.hadamard import (Generic4Params, generic3, read_family3, special3,
                              special_family_rows, verify_family3)
-from qstoch.mub import MubSet, complete_mub_h2, extend_search
+from qstoch.mub import MubSet, complete_mub_h2, extend_search, one_param_h3
 from qstoch.qmatrix import QMatrix, fourier, identity, read_matrix_text
 from qstoch.quaternion import I as QI
 from qstoch.quaternion import K as QK
@@ -38,6 +38,16 @@ RAISES = {
                                QStochError, "x must be pure"),
     "generic4-x-with-real-part": (lambda: Generic4Params(ONE, ONE),
                                   QStochError, "x must be pure"),
+    # a unit within UNIT_NORM whose span{1,i} part is exactly -1: generic4
+    # would divide by |1 + ahat| = 0
+    "generic4-ahat-at-pole": (
+        lambda: Generic4Params(Quaternion(-1.0, 0.0, 1e-5, 0.0), QI),
+        QStochError, "a = -1 is a pole"),
+    "special3-non-finite-params": (
+        lambda: special3("s4", (math.inf,)),
+        QStochError, r"s4 parameters \(psi\) must be finite"),
+    "one-param-h3-nan": (lambda: one_param_h3(math.nan, 0.0),
+                         QStochError, "must lie on the circle"),
     "generic3-unknown-branch": (lambda: generic3(QI, "0"),
                                 QStochError, "branch must be"),
     "generic3-p-vanishes-at-root": (lambda: generic3(NEAR_ONE, "+"),
@@ -92,6 +102,9 @@ FALSE = {
     "is-hadamard-non-square": RECTANGLE.is_hadamard,
     # the identity's frame has a = b = 0, off the unit sphere
     "verify-family3-frame-check": lambda: verify_family3(identity(3), "generic"),
+    # an s1 frame has a = 1, and the s5 residuals divide by its i and j parts
+    "verify-family3-s5-on-s1-frame": lambda: verify_family3(
+        special3("s1", (0.3, 1.1)), "s5"),
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import qdiag
+from conftest import qdiag, ref_mul
 from oracles import descend_qr, descent_objective
 
 from qstoch import mub
@@ -29,9 +29,13 @@ def cube_root(theta: float) -> Quaternion:
     return Quaternion(-0.5, R32 * math.cos(theta), R32 * math.sin(theta), 0.0)
 
 
+def square(q: Quaternion) -> Quaternion:
+    return Quaternion(*ref_mul(q.as_array(), q.as_array()))
+
+
 def h_basis(q: Quaternion) -> QMatrix:
-    s = 1 / math.sqrt(2)
-    return QMatrix.from_entries([[ONE * s, ONE * s], [q * s, -(q * s)]])
+    one, q = ONE.as_array(), q.as_array()
+    return QMatrix(np.array([[one, one], [q, -q]]) * (1 / math.sqrt(2)))
 
 
 class TestIsUnbiased:
@@ -119,16 +123,18 @@ class TestH3Families:
 
     def test_three_param_at_complex_roots(self):
         omega = cube_root(0.0)
-        s = three_param_h3(omega, omega * omega, omega)
+        s = three_param_h3(omega, square(omega), omega)
         assert len(s.bases) == 4
 
     def test_three_param_cross_pair_norm(self, rng):
         # the (second column, second column) cross pair has squared norm 3
         # before normalization
-        a, b, c = (cube_root(th) for th in rng.uniform(0, 2 * np.pi, 3))
-        val = ONE + a * a * c + a * b * c * c
-        assert val.norm_sq() == pytest.approx(3.0, abs=1e-12)
-        three_param_h3(a, b, c)
+        roots = [cube_root(th) for th in rng.uniform(0, 2 * np.pi, 3)]
+        a, b, c = (q.as_array() for q in roots)
+        val = (ONE.as_array() + ref_mul(ref_mul(a, a), c)
+               + ref_mul(ref_mul(ref_mul(a, b), c), c))
+        assert val @ val == pytest.approx(3.0, abs=1e-12)
+        three_param_h3(*roots)
 
     def test_three_param_rejects_bad_root(self):
         with pytest.raises(QStochError, match="a must be -1/2"):
@@ -162,7 +168,8 @@ class TestUnbiasednessInvariance:
         a = random_symplectic(3, seed=41)
         b = random_symplectic(3, seed=42)
         base = cross_gram_deviation(a.data, b.data)
-        phases = [Quaternion(*v).normalized() for v in rng.standard_normal((3, 4))]
+        phases = [Quaternion(*(v / np.linalg.norm(v)))
+                  for v in rng.standard_normal((3, 4))]
         mono = qmat_mul(QMatrix.from_real(permutation_array((2, 0, 1))).data,
                         qdiag(phases))
         assert cross_gram_deviation(a.data, qmat_mul(b.data, mono)) == \
@@ -435,7 +442,7 @@ class TestSearches:
         # parameter family; the acceptance suite runs the one-parameter
         # family at full resolution
         omega = cube_root(0.0)
-        s = three_param_h3(omega, omega, omega * omega)
+        s = three_param_h3(omega, omega, square(omega))
         assert extend_search(s, grid=12, conj_grid=8) is None
         viol, _ = direct_maximality_search(s, restarts=20, seed=2)
         assert viol >= 1e-3

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstoch.quaternion import (I, J, K, ONE, Quaternion, format_quaternion,
-                               parse_quaternion)
+                               parse_quaternion, qconj, qmul, qnorm, qnormsq)
 
 from conftest import ref_mul
 from oracles import aligning_conjugator
@@ -14,79 +15,85 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, finite_floats, finite_floats,
                         finite_floats, finite_floats)
-
-
-def norm_floor(*qs):
-    return all(q.norm() > 1e-3 for q in qs)
+arrays = quaternions.map(Quaternion.as_array)
+ONE_, I_, J_, K_ = (q.as_array() for q in (ONE, I, J, K))
 
 
 def close(q, r, tol=1e-9):
-    return (q - r).norm() <= tol
+    return qnorm(np.subtract(q, r)) <= tol
 
 
 class TestMul:
     def test_defining_relations(self):
-        assert close(I * J, K)
-        assert close(J * K, I)
-        assert close(K * I, J)
-        assert close(I * I, -ONE)
-        assert close(J * J, -ONE)
-        assert close(K * K, -ONE)
-        assert close((I * J) * K, -ONE)
+        assert close(qmul(I_, J_), K_)
+        assert close(qmul(J_, K_), I_)
+        assert close(qmul(K_, I_), J_)
+        assert close(qmul(I_, I_), -ONE_)
+        assert close(qmul(J_, J_), -ONE_)
+        assert close(qmul(K_, K_), -ONE_)
+        assert close(qmul(qmul(I_, J_), K_), -ONE_)
 
     def test_one_plus_i_times_one_minus_i(self):
-        assert close(Quaternion(1, 1, 0, 0) * Quaternion(1, -1, 0, 0),
-                     Quaternion(2, 0, 0, 0))
+        assert close(qmul(np.array([1.0, 1, 0, 0]), np.array([1.0, -1, 0, 0])),
+                     [2, 0, 0, 0])
 
     def test_not_commutative(self):
-        assert not close(I * J, J * I)
+        assert not close(qmul(I_, J_), qmul(J_, I_))
 
-    @given(quaternions, quaternions)
+    @given(arrays, arrays)
     def test_matches_reference_oracle(self, q, r):
-        assert close(q * r, ref_mul(q, r), 1e-6 * max(1.0, q.norm() * r.norm()))
+        assert close(qmul(q, r), ref_mul(q, r),
+                     1e-6 * max(1.0, qnorm(q) * qnorm(r)))
 
-    @given(quaternions, quaternions, quaternions)
+    def test_broadcasts_like_the_reference(self, rng):
+        a = rng.standard_normal((5, 1, 4))
+        b = rng.standard_normal((3, 4))
+        prod = qmul(a, b)
+        assert prod.shape == (5, 3, 4)
+        assert np.max(qnorm(prod - ref_mul(a, b))) <= 1e-12
+
+    @given(arrays, arrays, arrays)
     def test_associative(self, p, q, r):
-        lhs = (p * q) * r
-        rhs = p * (q * r)
-        scale = max(1.0, p.norm() * q.norm() * r.norm())
-        assert (lhs - rhs).norm() <= 1e-12 * scale
+        lhs = qmul(qmul(p, q), r)
+        rhs = qmul(p, qmul(q, r))
+        scale = max(1.0, qnorm(p) * qnorm(q) * qnorm(r))
+        assert qnorm(lhs - rhs) <= 1e-12 * scale
 
-    @given(quaternions, quaternions)
+    @given(arrays, arrays)
     def test_conj_antihomomorphism(self, q, r):
-        lhs = (q * r).conjugate()
-        rhs = r.conjugate() * q.conjugate()
-        assert (lhs - rhs).norm() <= 1e-12 * max(1.0, q.norm() * r.norm())
+        lhs = qconj(qmul(q, r))
+        rhs = qmul(qconj(r), qconj(q))
+        assert qnorm(lhs - rhs) <= 1e-12 * max(1.0, qnorm(q) * qnorm(r))
 
-    @given(quaternions, quaternions)
+    @given(arrays, arrays)
     def test_norm_multiplicative(self, q, r):
-        assert (q * r).norm() == pytest.approx(q.norm() * r.norm(), rel=1e-12)
+        assert qnorm(qmul(q, r)) == pytest.approx(qnorm(q) * qnorm(r), rel=1e-12)
 
-    @given(quaternions)
+    @given(arrays)
     def test_conj_times_self_is_norm_sq(self, q):
-        prod = q.conjugate() * q
-        pure = math.hypot(prod.x, prod.y, prod.z)
-        assert pure <= 1e-12 * max(1.0, q.norm_sq())
-        assert prod.w == pytest.approx(q.norm_sq(), rel=1e-12, abs=1e-12)
+        prod = qmul(qconj(q), q)
+        pure = math.hypot(*prod[1:])
+        assert pure <= 1e-12 * max(1.0, qnormsq(q))
+        assert prod[0] == pytest.approx(qnormsq(q), rel=1e-12, abs=1e-12)
 
 
 class TestConjugateBy:
-    """Conjugation x*q*x^-1 by a unit x, whose inverse is x.conjugate()."""
+    """Conjugation x*q*x^-1 by a unit x, whose inverse is qconj(x)."""
 
     def test_half_turn_example(self):
         # x = (1+i)/sqrt(2) rotates j onto k; cross-checked with the oracle
-        x = Quaternion(1, 1, 0, 0) * (1 / math.sqrt(2))
-        expected = ref_mul(ref_mul(x, J), x.conjugate())
-        assert close(expected, K, 1e-12)
-        assert close(x * J * x.conjugate(), K, 1e-12)
+        x = np.array([1.0, 1.0, 0.0, 0.0]) * (1 / math.sqrt(2))
+        expected = ref_mul(ref_mul(x, J_), qconj(x))
+        assert close(expected, K_, 1e-12)
+        assert close(qmul(qmul(x, J_), qconj(x)), K_, 1e-12)
 
     def test_preserves_norm_and_scalar_part(self, random_quaternion):
         for _ in range(100):
             q = random_quaternion()
             x = random_quaternion(unit=True)
-            r = x * q * x.conjugate()
-            assert r.norm() == pytest.approx(q.norm(), rel=1e-12)
-            assert r.w == pytest.approx(q.w, rel=1e-12, abs=1e-12)
+            r = qmul(qmul(x, q), qconj(x))
+            assert qnorm(r) == pytest.approx(qnorm(q), rel=1e-12)
+            assert r[0] == pytest.approx(q[0], rel=1e-12, abs=1e-12)
 
 
 class TestAligningConjugator:
@@ -96,18 +103,33 @@ class TestAligningConjugator:
         for _ in range(100):
             q = random_quaternion()
             x = aligning_conjugator(q)
-            assert abs(x.norm() - 1) < 1e-12
-            r = x * q * x.conjugate()
-            assert abs(r.y) < 1e-9 and abs(r.z) < 1e-9
-            assert r.x >= -1e-12
+            assert abs(qnorm(x) - 1) < 1e-12
+            r = ref_mul(ref_mul(x, q), qconj(x))
+            assert abs(r[2]) < 1e-9 and abs(r[3]) < 1e-9
+            assert r[1] >= -1e-12
 
     def test_real_input_untouched(self):
-        assert aligning_conjugator(Quaternion(3, 0, 0, 0)) == ONE
+        assert np.array_equal(aligning_conjugator(np.array([3.0, 0, 0, 0])),
+                              ONE_)
 
     def test_antipodal_direction(self):
-        x = aligning_conjugator(Quaternion(0, -2, 0, 0))
-        r = x * Quaternion(0, -2, 0, 0) * x.conjugate()
-        assert close(r, Quaternion(0, 2, 0, 0), 1e-12)
+        q = np.array([0.0, -2, 0, 0])
+        x = aligning_conjugator(q)
+        assert close(ref_mul(ref_mul(x, q), qconj(x)), [0, 2, 0, 0], 1e-12)
+
+
+class TestValueType:
+    @pytest.mark.parametrize("coords,unit", [
+        ((1, 0, 0, 0), True), ((0.6, 0, 0.8, 0), True), ((2, 0, 0, 0), False),
+        ((1 + 2e-9, 0, 0, 0), False), ((float("nan"), 0, 0, 0), False),
+        ((float("inf"), 0, 0, 0), False), ((1e308, 1e308, 0, 0), False)])
+    def test_is_unit(self, coords, unit):
+        assert Quaternion(*coords).is_unit() == unit
+
+    def test_array_round_trip(self):
+        q = Quaternion(1.5, -0.0, 2.0, -3.0)
+        assert Quaternion(*q.as_array()) == q
+        assert math.copysign(1.0, q.as_array()[1]) == -1.0
 
 
 class TestTextFormat:

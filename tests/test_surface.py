@@ -75,11 +75,16 @@ def test_the_exceptions_are_still_exceptions():
         assert name in defined and name not in named, name
 
 
+# the Quaternion arithmetic from __add__ on copied qstoch.quaternion's
+# array algebra, from_entries built a matrix through it, and from_array's
+# one caller, QMatrix.entry, builds the value type itself
 DELETED_METHODS = [
     (QMatrix, ["__add__", "__sub__", "__neg__", "conjugate", "__matmul__",
-               "__mul__", "__rmul__", "adjoint"]),
+               "__mul__", "__rmul__", "adjoint", "from_entries"]),
     (Quaternion, ["__rsub__", "__rmul__", "__str__", "__radd__", "approx_eq",
-                  "inverse"]),
+                  "inverse", "__add__", "__sub__", "__neg__", "__mul__",
+                  "__truediv__", "conjugate", "norm_sq", "norm",
+                  "normalized", "from_array"]),
     (MubSet, ["__len__"]),
     (SigmaMinima, ["__getitem__", "__eq__"]),
 ]
@@ -97,9 +102,46 @@ def test_deleted_functions_and_bases_stay_deleted():
     assert not hasattr(quaternion, "_coerce")
     assert not hasattr(mub, "is_unbiased")
     assert not issubclass(SigmaMinima, Sequence)
-    # Quaternion division takes a scalar only
+    # Quaternion is a value type: no arithmetic
     with pytest.raises(TypeError):
         ONE / ONE
+    with pytest.raises(TypeError):
+        ONE * ONE
+
+
+def _is_hamilton_real_part(node) -> bool:
+    """p0*q0 - p1*q1 - p2*q2 - p3*q3: four products joined by three
+    subtractions."""
+    terms = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        terms.append(node.right)
+        node = node.left
+    terms.append(node)
+    return len(terms) == 4 and all(
+        isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult) for t in terms)
+
+
+def _hamilton_real_parts(paths):
+    """{(file, innermost function)} of every Hamilton real part in paths;
+    the function is "" at module level."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: inner functions win
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                name = getattr(fn, "name", "<lambda>")
+                owner.update((id(node), name) for node in ast.walk(fn))
+        found |= {(path.name, owner.get(id(node), ""))
+                  for node in ast.walk(tree) if _is_hamilton_real_part(node)}
+    return found
+
+
+def test_one_hamilton_product():
+    """The real part of a Hamilton product is written once in src/qstoch,
+    in quaternion.qmul; every other product calls it or the chi kernel."""
+    assert _hamilton_real_parts(sorted(SRC.glob("*.py"))) == {
+        ("quaternion.py", "qmul")}
 
 
 # the classes a failed precondition raised before the one QStochError
