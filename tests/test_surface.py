@@ -75,9 +75,9 @@ def test_the_exceptions_are_still_exceptions():
         assert name in defined and name not in named, name
 
 
-# the Quaternion arithmetic from __add__ on copied qstoch.quaternion's
-# array algebra, from_entries built a matrix through it, and from_array's
-# one caller, QMatrix.entry, builds the value type itself
+# Quaternion's scalar arithmetic (__add__ to normalized) copied the array
+# algebra of qstoch.quaternion, and from_entries built matrices through it;
+# QMatrix.entry, from_array's one caller, builds the value type itself
 DELETED_METHODS = [
     (QMatrix, ["__add__", "__sub__", "__neg__", "conjugate", "__matmul__",
                "__mul__", "__rmul__", "adjoint", "from_entries"]),
